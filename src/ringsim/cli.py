@@ -445,6 +445,8 @@ def compute_stats(cfg: RunConfig, traj, series) -> dict:
             "min_separation": lyap.min_separation,
             "fit_range": list(lyap.fit_range),
             "n_reference": lyap.n_reference,
+            "n_points": lyap.n_points,
+            "n_zero_distance": lyap.n_zero_distance,
             "degenerate": lyap.degenerate,
             "note": lyap.note,
         }

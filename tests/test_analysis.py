@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from ringsim import analysis
 from ringsim.analysis import (
     fleet_stats,
     fundamental_diagram,
@@ -131,6 +133,28 @@ class TestMaxLyapunov:
         assert not res.degenerate
         assert res.lambda_max < 0.0
 
+    def test_constant_tail_references_match_oracle(self, monkeypatch):
+        # FollowerStopper-like settling: the tail is exactly constant in
+        # float64 after about 35 s, so most embedded points are duplicates
+        t = np.arange(int(300 * 30)) / 30.0
+        x = 4.75 - 0.3 * np.exp(-t) * np.cos(2 * np.pi * t / 20.0)
+        assert np.ptp(x[-6000:]) == 0.0
+        res = max_lyapunov(x, sample_rate=30.0)
+        seen = []
+
+        def oracle(Y, exclusion):
+            seen.append(brute_nearest(Y, exclusion))
+            return seen[-1]
+
+        monkeypatch.setattr(analysis, "_nearest_neighbors", oracle)
+        ref = max_lyapunov(x, sample_rate=30.0)
+        ref_dist = seen[0][1]
+        assert res.n_points == ref_dist.size
+        assert res.n_reference == np.count_nonzero(np.isfinite(ref_dist) & (ref_dist > 0))
+        assert res.n_zero_distance == np.count_nonzero(ref_dist == 0.0)
+        assert res.n_zero_distance > res.n_reference
+        assert res.lambda_max == ref.lambda_max
+
     def test_series_too_short(self):
         with pytest.raises(ValueError, match="too short"):
             max_lyapunov(np.sin(np.arange(40)), sample_rate=1.0)
@@ -148,6 +172,90 @@ class TestMaxLyapunov:
         x = np.sin(2 * np.pi * t)  # period 100 samples
         res = max_lyapunov(x, sample_rate=100.0, fit_range=(0, 30))
         assert 15 <= res.lag <= 35  # quarter period for a sinusoid
+
+
+def brute_nearest(Y, exclusion, chunk=256):
+    """Reference neighbour search: argmin over directly differenced rows.
+
+    Squared distances sum (Y[i, k] - Y[j, k])**2 over k in order; pairs
+    with |i - j| <= exclusion are masked out before the argmin.
+    """
+    m = Y.shape[0]
+    cols = np.arange(m)
+    idx = np.empty(m, dtype=np.int64)
+    d2_min = np.empty(m)
+    for start in range(0, m, chunk):
+        rows = np.arange(start, min(start + chunk, m))
+        d2 = np.zeros((rows.size, m))
+        for k in range(Y.shape[1]):
+            diff = Y[rows, k][:, None] - Y[None, :, k]
+            d2 += diff * diff
+        d2[np.abs(rows[:, None] - cols[None, :]) <= exclusion] = np.inf
+        idx[rows] = np.argmin(d2, axis=1)
+        d2_min[rows] = d2[np.arange(rows.size), idx[rows]]
+    return idx, np.sqrt(d2_min)
+
+
+def assert_matches_oracle(Y, exclusion):
+    idx, dist = analysis._nearest_neighbors(Y, exclusion)
+    ref_idx, ref_dist = brute_nearest(Y, exclusion)
+    assert np.array_equal(dist, ref_dist)  # bit for bit, inf included
+    assert np.array_equal(idx, ref_idx)
+    return ref_idx, ref_dist
+
+
+class TestNearestNeighbors:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    def test_random_cloud(self, dim):
+        rng = np.random.default_rng(dim)
+        Y = rng.standard_normal((3000, dim))
+        assert_matches_oracle(Y, 25)
+
+    def test_planted_duplicates_and_constant_tail(self):
+        rng = np.random.default_rng(7)
+        exclusion = 40
+        Y = rng.standard_normal((2000, 3))
+        Y[rng.integers(0, 1500, 200)] = Y[rng.integers(0, 1500, 200)]
+        Y[1700:] = Y[1699]  # constant run of 301 > 2 * exclusion points
+        _, dist = assert_matches_oracle(Y, exclusion)
+        assert np.count_nonzero(dist[1700:] == 0.0) > 2 * exclusion
+
+    def test_lattice_ties_lowest_index_wins(self):
+        rng = np.random.default_rng(11)
+        grid = np.stack(np.meshgrid(*[np.arange(8.0)] * 3), -1).reshape(-1, 3)
+        Y = grid[rng.permutation(grid.shape[0])]
+        _, dist = assert_matches_oracle(Y, 5)
+        # nearest distance 1 everywhere, shared by up to 6 lattice neighbours
+        assert np.all(dist[np.isfinite(dist)] == 1.0)
+        # with repeats: exact duplicates and ties at every distance
+        assert_matches_oracle(rng.integers(0, 3, (1500, 2)).astype(float), 30)
+
+    def test_window_leaves_no_neighbor(self):
+        rng = np.random.default_rng(5)
+        Y = rng.standard_normal((200, 3))
+        Y[150:] = Y[0]
+        _, dist = assert_matches_oracle(Y, 120)
+        # points 79..120 have every other point within 120 samples
+        assert np.all(np.isinf(dist[79:121]))
+        assert np.isfinite(dist[:79]).all() and np.isfinite(dist[121:]).all()
+        assert np.all(dist[150:] == 0.0)
+        _, dist = assert_matches_oracle(Y, 300)
+        assert np.all(np.isinf(dist))
+
+    def test_memory_below_gram_buffer(self):
+        rng = np.random.default_rng(3)
+        n, lag = 45_300, 150
+        x = np.sin(2 * np.pi * np.arange(n) / 600) + 0.05 * rng.standard_normal(n)
+        m = n - 2 * lag
+        Y = x[np.arange(m)[:, None] + np.arange(3) * lag]
+        tracemalloc.start()
+        try:
+            analysis._nearest_neighbors(Y, 600)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a chunked Gram-matrix search holds a 1024 x m float64 block
+        assert peak < 1024 * m * 8
 
 
 def lorenz_rhs(t, y):

@@ -224,6 +224,9 @@ class TestRoundTrip:
         redone = max_lyapunov(series.velocities[:, 0], sample_rate=30.0,
                               embed_dim=3, fit_range=(0, 30))
         assert redone.lambda_max == stats["lambda_max"]
+        for key in ("n_points", "n_zero_distance", "n_reference"):
+            assert stats["lyapunov"][key] == getattr(redone, key)
+        assert stats["lyapunov"]["n_points"] > 0
 
 
 class TestCompare:
