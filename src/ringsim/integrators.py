@@ -60,6 +60,7 @@ _P = np.array(
     ]
 )
 
+_EPS = np.finfo(float).eps
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
@@ -103,6 +104,22 @@ class IntegrationError(RuntimeError):
         self.t_reached = t_reached
 
 
+def _dense(times, states, coeffs, hs, t: float) -> np.ndarray:
+    """State at t (within times[0]..times[-1]) from stored accepted steps.
+
+    A stored instant returns a copy of its stored state exactly; anywhere
+    else the quartic continuous extension of the enclosing step is used.
+    """
+    idx = int(np.searchsorted(times, t, side="left"))
+    if idx < len(times) and times[idx] == t:
+        return states[idx].copy()
+    step = idx - 1
+    h = hs[step]
+    theta = (t - times[step]) / h
+    powers = np.array([theta, theta**2, theta**3, theta**4])
+    return states[step] + h * (coeffs[step] @ powers)
+
+
 class Trajectory:
     """Accepted-step samples plus dense interpolation coefficients.
 
@@ -132,14 +149,7 @@ class Trajectory:
             raise ValueError(
                 f"t={t!r} outside the trajectory span [{times[0]!r}, {times[-1]!r}]"
             )
-        idx = int(np.searchsorted(times, t, side="left"))
-        if idx < len(times) and times[idx] == t:
-            return self.states[idx].copy()
-        step = idx - 1
-        h = self._h[step]
-        theta = (t - times[step]) / h
-        powers = np.array([theta, theta**2, theta**3, theta**4])
-        return self.states[step] + h * (self._coeffs[step] @ powers)
+        return _dense(times, self.states, self._coeffs, self._h, t)
 
     __call__ = evaluate
 
@@ -195,15 +205,7 @@ class _Builder:
         # impossible; failing here is an internal logic error.
         if t > self.t_last:
             raise AssertionError(f"lookup at t={t!r} beyond computed solution")
-        times = self.times[: self.n]
-        idx = int(np.searchsorted(times, t, side="left"))
-        if idx < self.n and times[idx] == t:
-            return self.states[idx].copy()
-        step = idx - 1
-        h = self.hs[step]
-        theta = (t - times[step]) / h
-        powers = np.array([theta, theta**2, theta**3, theta**4])
-        return self.states[step] + h * (self.coeffs[step] @ powers)
+        return _dense(self.times[: self.n], self.states, self.coeffs, self.hs, t)
 
     def finish(self, status: str) -> Trajectory:
         return Trajectory(
@@ -262,7 +264,7 @@ def _advance(f, builder, t_end, cfg, h_cap, terminal, domain_error, h_start):
 
     while t < t_end:
         h = min(h, h_cap, t_end - t)
-        h_floor = 16 * np.finfo(float).eps * max(abs(t), abs(t_end))
+        h_floor = 16 * _EPS * max(abs(t), abs(t_end))
         if h < h_floor:
             if domain_retries:
                 builder.events.append((t, _DomainStop(t)))

@@ -6,6 +6,13 @@ an acceleration, and the FollowerStopper speed-command law together with
 the first-order tracking rule that turns a commanded speed into an
 acceleration.
 
+Every law is written once, in numpy operations: its inputs may be
+scalars, 0-d or 1-d arrays that broadcast together, and scalar inputs give
+a scalar. IDM coefficients are one vehicle's ``IdmParams`` or the
+``IdmColumns`` of several vehicles, which carry the same attribute names
+with one array entry per vehicle; FollowerStopper coefficients are one
+vehicle's ``FsParams``.
+
 Sign conventions differ between the two laws and are documented on each
 function; mapping a fleet's leader/follower speeds onto these arguments is
 the job of :mod:`ringsim.ring`.
@@ -16,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,6 +32,7 @@ __all__ = [
     "IdmParams",
     "FsParams",
     "FsRegion",
+    "IdmColumns",
     "idm_desired_gap",
     "idm_accel",
     "idm_equilibrium_speed",
@@ -67,6 +76,32 @@ class IdmParams:
                 raise ValueError(f"IdmParams.{name} must be positive")
         if self.T < 0:
             raise ValueError("IdmParams.T must be nonnegative")
+
+    @property
+    def two_sqrt_ab(self) -> float:
+        """Scale 2*sqrt(a*b) of the approach term of the desired gap (m/s)."""
+        return 2.0 * math.sqrt(self.a * self.b)
+
+
+class IdmColumns(NamedTuple):
+    """IDM coefficients of several vehicles, one array entry per vehicle.
+
+    The fields are the IdmParams attributes the laws read, so
+    ``idm_accel`` and ``idm_desired_gap`` take either form.
+    """
+
+    a: np.ndarray
+    v0: np.ndarray
+    delta: np.ndarray
+    s0: np.ndarray
+    T: np.ndarray
+    two_sqrt_ab: np.ndarray
+
+    @classmethod
+    def stack(cls, params: Sequence[IdmParams]) -> "IdmColumns":
+        """Columns of the given vehicles' coefficients, in their order."""
+        return cls(*(np.array([getattr(p, f) for p in params], dtype=float)
+                     for f in cls._fields))
 
 
 # Range of approach rates over which switching-boundary ordering is checked
@@ -122,7 +157,15 @@ class FsParams:
             )
 
 
-def idm_desired_gap(v: float, dv: float, p: IdmParams) -> float:
+def _check_gap(s, law: str) -> None:
+    """CollisionError if any entry of the gap s is nonpositive."""
+    bad = s <= 0.0
+    if np.count_nonzero(bad):
+        first = np.asarray(s, dtype=float)[np.asarray(bad)].flat[0]
+        raise CollisionError(f"nonpositive gap {float(first)!r} in {law} evaluation")
+
+
+def idm_desired_gap(v, dv, p: IdmParams | IdmColumns):
     """Dynamically desired gap s* = s0 + v*T + v*dv / (2*sqrt(a*b)).
 
     ``dv`` is the approach rate with the convention dv = v_follower -
@@ -130,21 +173,21 @@ def idm_desired_gap(v: float, dv: float, p: IdmParams) -> float:
     value is returned unclamped and may fall below s0 (or 0) when the gap
     is opening fast.
     """
-    return p.s0 + v * p.T + v * dv / (2.0 * math.sqrt(p.a * p.b))
+    return p.s0 + v * p.T + v * dv / p.two_sqrt_ab
 
 
-def idm_accel(s: float, v: float, dv: float, p: IdmParams) -> float:
+def idm_accel(s, v, dv, p: IdmParams | IdmColumns):
     """IDM acceleration a*[1 - (v/v0)^delta - (s*/s)^2].
 
     s : gap to the leader (m), must be positive
     v : own speed (m/s)
     dv : approach rate, v_follower - v_leader (m/s)
 
-    Unbounded below; strong braking is allowed. Raises CollisionError for a
-    nonpositive gap, which is a collision state rather than a model input.
+    Unbounded below; strong braking is allowed. Raises CollisionError if
+    any gap is nonpositive, which is a collision state rather than a model
+    input.
     """
-    if s <= 0:
-        raise CollisionError(f"nonpositive gap s={s!r} in IDM evaluation")
+    _check_gap(s, "IDM")
     sstar = idm_desired_gap(v, dv, p)
     return p.a * (1.0 - (v / p.v0) ** p.delta - (sstar / s) ** 2)
 
@@ -172,7 +215,7 @@ def idm_equilibrium_speed(s: float, p: IdmParams, tol: float = 1e-12) -> float:
     return mid
 
 
-def fs_boundary(j: int, dv: float, p: FsParams) -> float:
+def fs_boundary(j: int, dv, p: FsParams):
     """Switching boundary d_j = omega_j + min(0, dv)^2 / (2*alpha_j).
 
     ``dv`` here is the approach rate with the convention dv = v_leader -
@@ -181,8 +224,15 @@ def fs_boundary(j: int, dv: float, p: FsParams) -> float:
     """
     if j not in (1, 2, 3):
         raise ValueError(f"boundary index must be 1, 2 or 3, got {j}")
-    closing = min(0.0, dv)
-    return p.omega[j - 1] + closing * closing / (2.0 * p.alpha[j - 1])
+    return _fs_boundaries(dv, p)[j - 1]
+
+
+def _fs_boundaries(dv, p: FsParams):
+    """The three switching boundaries (d1, d2, d3); see fs_boundary."""
+    closing = np.minimum(dv, 0.0)
+    q = closing * closing
+    (w1, w2, w3), (a1, a2, a3) = p.omega, p.alpha
+    return w1 + q / (2.0 * a1), w2 + q / (2.0 * a2), w3 + q / (2.0 * a3)
 
 
 class FsRegion(IntEnum):
@@ -194,46 +244,45 @@ class FsRegion(IntEnum):
     FREE = 4    # command the free-road speed r
 
 
-def fs_region(dx: float, dv: float, p: FsParams) -> FsRegion:
-    """Classify a (gap, approach rate) pair into one of the four regions.
+def _fs_select(dx, bounds, stop, follow, blend, free):
+    """Per entry, the value of the first band dx does not lie beyond.
+
+    stop for dx <= d1, follow for d1 < dx <= d2, blend for d2 < dx <= d3,
+    free beyond d3, with (d1, d2, d3) = bounds.
+    """
+    d1, d2, d3 = bounds
+    return np.where(dx <= d1, stop,
+                    np.where(dx <= d2, follow, np.where(dx <= d3, blend, free)))[()]
+
+
+def fs_region(dx, dv, p: FsParams):
+    """Classify (gap, approach rate) pairs into the four regions.
 
     Bands are half-open exactly as defined by the switching boundaries:
     STOP for dx <= d1, FOLLOW for d1 < dx <= d2, BLEND for d2 < dx <= d3,
-    FREE beyond d3.
+    FREE beyond d3. Scalar input gives an FsRegion, array input an array
+    of region codes.
     """
-    if dx <= 0:
-        raise CollisionError(f"nonpositive gap dx={dx!r} in FollowerStopper evaluation")
-    if dx <= fs_boundary(1, dv, p):
-        return FsRegion.STOP
-    if dx <= fs_boundary(2, dv, p):
-        return FsRegion.FOLLOW
-    if dx <= fs_boundary(3, dv, p):
-        return FsRegion.BLEND
-    return FsRegion.FREE
+    _check_gap(dx, "FollowerStopper")
+    region = _fs_select(dx, _fs_boundaries(dv, p), *FsRegion)
+    return FsRegion(region) if np.ndim(region) == 0 else region
 
 
-def fs_command(dx: float, dv: float, v_lead: float, p: FsParams) -> float:
+def fs_command(dx, dv, v_lead, p: FsParams):
     """Commanded speed of the FollowerStopper law; always within [0, r].
 
     The leader speed enters clamped to [0, r]. The command is continuous
     in dx: zero up to d1, ramping to the clamped leader speed at d2,
-    ramping on to r at d3, and r beyond.
+    ramping on to r at d3, and r beyond, over the bands of ``fs_region``.
     """
-    region = fs_region(dx, dv, p)
-    v_hat = min(max(v_lead, 0.0), p.r)
-    if region is FsRegion.STOP:
-        return 0.0
-    if region is FsRegion.FOLLOW:
-        d1 = fs_boundary(1, dv, p)
-        d2 = fs_boundary(2, dv, p)
-        return v_hat * (dx - d1) / (d2 - d1)
-    if region is FsRegion.BLEND:
-        d2 = fs_boundary(2, dv, p)
-        d3 = fs_boundary(3, dv, p)
-        return v_hat + (p.r - v_hat) * (dx - d2) / (d3 - d2)
-    return p.r
+    _check_gap(dx, "FollowerStopper")
+    d1, d2, d3 = bounds = _fs_boundaries(dv, p)
+    v_hat = np.minimum(np.maximum(v_lead, 0.0), p.r)
+    follow = v_hat * (dx - d1) / (d2 - d1)
+    blend = v_hat + (p.r - v_hat) * (dx - d2) / (d3 - d2)
+    return _fs_select(dx, bounds, 0.0, follow, blend, p.r)
 
 
-def fs_accel(v: float, v_cmd: float, p: FsParams) -> float:
+def fs_accel(v, v_cmd, p: FsParams):
     """First-order speed tracking: dv/dt = k_track * (v_cmd - v)."""
     return p.k_track * (v_cmd - v)

@@ -12,12 +12,20 @@ is passed to the IDM law as v_follower - v_leader. The FollowerStopper
 vehicle always acts on the current state and uses v_leader - v_follower,
 matching each controller's documented convention. Kinematics dx/dt = v is
 never delayed.
+
+``simulate`` builds the fleet's arrays once per run: the leader index, the
+IDM coefficient columns of every vehicle and the FollowerStopper vehicles
+with their leaders. Each derivative evaluation then calls the IDM law of
+:mod:`ringsim.models` once, on the arrays of the whole fleet, and the
+FollowerStopper law once per FollowerStopper vehicle, on scalars; its
+result replaces that vehicle's IDM value. The same leader index gives
+every gap: the collision check of the derivative, the terminal collision
+event and ``detect_events``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -26,6 +34,7 @@ from . import integrators
 from .models import (
     CollisionError,
     FsParams,
+    IdmColumns,
     IdmParams,
     fs_accel,
     fs_command,
@@ -204,45 +213,67 @@ def apply_perturbation(z: np.ndarray, amp: float, seed: int) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=32)
-def _prepared(scenario: RingScenario):
-    leaders = (np.arange(scenario.n_vehicles) - 1) % scenario.n_vehicles
-    fleet = tuple(
-        (i, int(leaders[i]), p, isinstance(p, FsParams))
-        for i, p in enumerate(scenario.controllers)
-    )
-    return leaders, fleet
+class _Fleet:
+    """Per-run arrays of a scenario, built once and read by every RHS call.
+
+    leaders : index of each vehicle's leader (vehicle i follows i-1)
+    idm : IDM coefficient columns over all vehicles; a FollowerStopper
+        vehicle carries the default IdmParams, and its IDM value is
+        replaced by its own law
+    fs : (vehicle, leader, FsParams) of each FollowerStopper vehicle
+    """
+
+    def __init__(self, scenario: RingScenario):
+        n = scenario.n_vehicles
+        self.length = scenario.ring_length
+        self.leaders = (np.arange(n) - 1) % n
+        params = scenario.controllers
+        self.idm = IdmColumns.stack(
+            [p if isinstance(p, IdmParams) else IdmParams() for p in params])
+        self.fs = [(i, int(self.leaders[i]), p) for i, p in enumerate(params)
+                   if isinstance(p, FsParams)]
+
+    def gaps(self, x: np.ndarray) -> np.ndarray:
+        """Circular forward gap of every vehicle to its leader."""
+        return (x[self.leaders] - x) % self.length
+
+    def collision(self, t: float, z: np.ndarray) -> Collision | None:
+        """Terminal condition: the first vehicle with a nonpositive gap."""
+        hit = np.flatnonzero(self.gaps(z[0::2]) <= 0.0)
+        return Collision(int(hit[0])) if hit.size else None
 
 
-def _deriv(z: np.ndarray, z_delayed: np.ndarray, scenario: RingScenario) -> np.ndarray:
-    length = scenario.ring_length
-    leaders, fleet = _prepared(scenario)
+def _deriv(z: np.ndarray, z_delayed: np.ndarray, fleet: _Fleet) -> np.ndarray:
     x = z[0::2]
     v = z[1::2]
-    gaps_now = (x[leaders] - x) % length
-    if np.any(gaps_now <= 0.0):
-        i = int(np.argmax(gaps_now <= 0.0))
+    gaps_now = fleet.gaps(x)
+    touching = gaps_now <= 0.0
+    if np.count_nonzero(touching):
+        i = int(np.argmax(touching))
         raise CollisionError(f"vehicle {i} has zero gap to its leader", vehicle=i)
     if z_delayed is z:
-        xd, vd = x, np.maximum(v, 0.0)
+        vd = np.maximum(v, 0.0)
         gaps_d = gaps_now
     else:
-        xd = z_delayed[0::2]
         vd = np.maximum(z_delayed[1::2], 0.0)
-        gaps_d = (xd[leaders] - xd) % length
+        gaps_d = fleet.gaps(z_delayed[0::2])
+        for i, _, _ in fleet.fs:
+            # FollowerStopper vehicles act on the current state: only IDM
+            # vehicles may fail the delayed-gap check
+            gaps_d[i] = gaps_now[i]
 
     out = np.empty_like(z)
     out[0::2] = v
     acc = out[1::2]
-    for i, ldr, p, is_fs in fleet:
-        if is_fs:
-            v_lead = v[ldr]
-            cmd = fs_command(gaps_now[i], v_lead - v[i], v_lead, p)
-            acc[i] = fs_accel(v[i], cmd, p)
-        else:
-            acc[i] = idm_accel(gaps_d[i], vd[i], vd[i] - vd[ldr], p)
-        if v[i] <= 0.0 and acc[i] < 0.0:
-            acc[i] = 0.0  # standstill: never integrate backwards
+    acc[:] = idm_accel(gaps_d, vd, vd - vd[fleet.leaders], fleet.idm)
+    # FollowerStopper vehicles are few (one in the stock presets), and the
+    # law costs about half as much on scalars as on a one-element array.
+    for i, ldr, p in fleet.fs:
+        v_lead = v[ldr]
+        acc[i] = fs_accel(v[i], fs_command(gaps_now[i], v_lead - v[i], v_lead, p), p)
+    stopped = v <= 0.0
+    if np.count_nonzero(stopped):
+        acc[stopped & (acc < 0.0)] = 0.0  # standstill: never integrate backwards
     return out
 
 
@@ -261,38 +292,20 @@ def rhs(t, z, delayed_accessor, scenario: RingScenario) -> np.ndarray:
     """
     z = np.asarray(z, dtype=float)
     zd = np.asarray(delayed_accessor(scenario.tau), dtype=float) if scenario.tau > 0 else z
-    return _deriv(z, zd, scenario)
+    return _deriv(z, zd, _Fleet(scenario))
 
 
 def detect_events(z, scenario: RingScenario, gap_min: float = 0.0,
                   v_stop: float = 0.1) -> list[Collision | Stop]:
     """Instantaneous collision and standstill checks on one state."""
     z = np.asarray(z, dtype=float)
-    leaders, _ = _prepared(scenario)
-    x = z[0::2]
-    v = z[1::2]
-    gaps = (x[leaders] - x) % scenario.ring_length
+    gaps = _Fleet(scenario).gaps(z[0::2])
     events: list[Collision | Stop] = []
     for i in np.nonzero(gaps <= gap_min)[0]:
         events.append(Collision(int(i)))
-    for i in np.nonzero(v < v_stop)[0]:
+    for i in np.nonzero(z[1::2] < v_stop)[0]:
         events.append(Stop(int(i)))
     return events
-
-
-def _collision_terminal(scenario: RingScenario):
-    leaders, _ = _prepared(scenario)
-    length = scenario.ring_length
-
-    def terminal(t, z):
-        x = z[0::2]
-        gaps = (x[leaders] - x) % length
-        hit = np.nonzero(gaps <= 0.0)[0]
-        if hit.size:
-            return Collision(int(hit[0]))
-        return None
-
-    return terminal
 
 
 def simulate(scenario: RingScenario,
@@ -312,23 +325,23 @@ def simulate(scenario: RingScenario,
         )
     else:
         z0 = np.asarray(z0, dtype=float).copy()
-    terminal = _collision_terminal(scenario)
+    fleet = _Fleet(scenario)
     if scenario.tau > 0:
         return integrators.integrate_dde(
-            lambda t, z, zlag: _deriv(np.asarray(z), np.asarray(zlag), scenario),
+            lambda t, z, zlag: _deriv(z, zlag, fleet),
             history=lambda t: z0,
             tau=scenario.tau,
             t_span=(0.0, scenario.t_end),
             cfg=cfg,
-            terminal=terminal,
+            terminal=fleet.collision,
             domain_error=CollisionError,
         )
     return integrators.integrate_ode(
-        lambda t, z: _deriv(np.asarray(z), np.asarray(z), scenario),
+        lambda t, z: _deriv(z, z, fleet),
         z0,
         (0.0, scenario.t_end),
         cfg=cfg,
-        terminal=terminal,
+        terminal=fleet.collision,
         domain_error=CollisionError,
     )
 

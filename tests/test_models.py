@@ -224,3 +224,52 @@ class TestParamValidation:
 
     def test_fs_accepts_defaults(self):
         FsParams()
+
+
+class TestArrayInputs:
+    """The laws on arrays against the same laws called entry by entry."""
+
+    def test_idm_accel_elementwise(self):
+        rng = np.random.default_rng(7)
+        s = rng.uniform(0.5, 60.0, 500)
+        v = rng.uniform(0.0, 30.0, 500)
+        dv = rng.uniform(-10.0, 10.0, 500)
+        got = idm_accel(s, v, dv, P)
+        want = np.array([idm_accel(*args, P) for args in zip(s, v, dv)])
+        # numpy's vectorised power may differ from libm's pow by one ulp;
+        # every other operation is the same IEEE operation on both paths
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+
+    def test_fs_command_and_region_elementwise_at_boundaries(self):
+        dx, dv, v_lead = [], [], []
+        rng = np.random.default_rng(11)
+        for _ in range(200):
+            d_v = rng.uniform(-10.0, 5.0)
+            v_l = rng.uniform(-2.0, 12.0)
+            for j in (1, 2, 3):
+                d = fs_boundary(j, d_v, FS)
+                for x in (np.nextafter(d, 0.0), d, np.nextafter(d, np.inf)):
+                    dx.append(x)
+                    dv.append(d_v)
+                    v_lead.append(v_l)
+            dx.append(rng.uniform(0.01, 20.0))
+            dv.append(d_v)
+            v_lead.append(v_l)
+        dx, dv, v_lead = map(np.array, (dx, dv, v_lead))
+        got = fs_command(dx, dv, v_lead, FS)
+        want = np.array([fs_command(*args, FS) for args in zip(dx, dv, v_lead)])
+        assert np.array_equal(got, want)
+        regions = fs_region(dx, dv, FS)
+        assert np.array_equal(regions, [fs_region(x, d_v, FS) for x, d_v in zip(dx, dv)])
+        # every band is hit, on both sides of every boundary
+        assert set(regions.tolist()) == {1, 2, 3, 4}
+        assert np.array_equal(fs_accel(v_lead, got, FS),
+                              [fs_accel(v_l, c, FS) for v_l, c in zip(v_lead, want)])
+
+    def test_one_nonpositive_gap_raises(self):
+        with pytest.raises(CollisionError):
+            idm_accel(np.array([5.0, 0.0, 3.0]), np.full(3, 5.0), np.zeros(3), P)
+        with pytest.raises(CollisionError):
+            fs_command(np.array([5.0, 4.0, -1.0]), 0.0, 5.0, FS)
+        with pytest.raises(CollisionError):
+            fs_region(np.array([-2.0, 4.0]), 0.0, FS)

@@ -8,6 +8,9 @@ from ringsim.models import (
     CollisionError,
     FsParams,
     IdmParams,
+    fs_accel,
+    fs_command,
+    idm_accel,
     idm_equilibrium_speed,
 )
 from ringsim.ring import (
@@ -200,6 +203,99 @@ class TestRhs:
         # vehicle 0 (FollowerStopper) reacts to the current state: gap 10 is
         # beyond the outermost envelope so it tracks r = 4.75 from v = 5
         assert dz[1] == pytest.approx(1.0 * (4.75 - 5.0), abs=1e-12)
+
+
+def oracle_rhs(z, z_delayed, scenario):
+    """Fleet derivative by a per-vehicle loop over the scalar laws."""
+    n, length = scenario.n_vehicles, scenario.ring_length
+    x, v = z[0::2], z[1::2]
+    xd, vd = z_delayed[0::2], np.maximum(z_delayed[1::2], 0.0)
+    out = np.empty_like(z)
+    out[0::2] = v
+    for i, p in enumerate(scenario.controllers):
+        ldr = (i - 1) % n
+        if isinstance(p, FsParams):
+            cmd = fs_command(float((x[ldr] - x[i]) % length),
+                             float(v[ldr] - v[i]), float(v[ldr]), p)
+            acc = fs_accel(float(v[i]), cmd, p)
+        else:
+            acc = idm_accel(float((xd[ldr] - xd[i]) % length),
+                            float(vd[i]), float(vd[i] - vd[ldr]), p)
+        out[2 * i + 1] = 0.0 if v[i] <= 0.0 and acc < 0.0 else acc
+    return out
+
+
+def random_ring_state(rng, n, length, stopped=()):
+    """Positive gaps summing to the ring length, speeds in [0, 8) m/s.
+
+    The vehicles in ``stopped`` stand still 1 m behind their leader, inside
+    every standstill gap, so the IDM asks them to brake.
+    """
+    gaps = rng.uniform(0.5, 1.5, n)
+    gaps[list(stopped)] = 0.0
+    gaps *= (length - len(stopped)) / gaps.sum()
+    gaps[list(stopped)] = 1.0
+    z = np.empty(2 * n)
+    z[0::2] = (-np.cumsum(gaps) + gaps[0] + rng.uniform(0.0, length)) % length
+    z[1::2] = rng.uniform(0.0, 8.0, n)
+    z[2 * np.asarray(stopped, dtype=int) + 1] = 0.0
+    return z
+
+
+class TestRhsMatchesScalarOracle:
+    """rhs against a per-vehicle loop over the 0-d control laws."""
+
+    N = 12
+    LENGTH = 120.0
+
+    def scenario(self, fs_at, tau):
+        rng = np.random.default_rng(5)
+        controllers = [
+            IdmParams(a=rng.uniform(0.5, 1.5), v0=rng.uniform(20.0, 35.0),
+                      delta=rng.choice([2.0, 4.0, 4.5]), s0=rng.uniform(1.5, 3.0),
+                      T=rng.uniform(1.0, 2.0), b=rng.uniform(1.0, 2.5))
+            for _ in range(self.N)
+        ]
+        for i in fs_at:
+            controllers[i] = FsParams(r=4.0 + i / 10)
+        return RingScenario(ring_length=self.LENGTH, controllers=tuple(controllers),
+                            tau=tau)
+
+    @pytest.mark.parametrize("fs_at", [(), (0,), (6,), (0, 6)],
+                             ids=["idm_only", "fs_first", "fs_middle", "two_fs"])
+    @pytest.mark.parametrize("delayed", [False, True], ids=["now", "delayed"])
+    def test_random_states(self, fs_at, delayed):
+        sc = self.scenario(fs_at, 0.5 if delayed else 0.0)
+        rng = np.random.default_rng(17)
+        clamped = 0
+        for k in range(40):
+            stopped = (3, 9) if k % 2 else ()
+            z = random_ring_state(rng, self.N, self.LENGTH, stopped)
+            zd = random_ring_state(rng, self.N, self.LENGTH, stopped) if delayed else z
+            got = rhs(0.0, z, lambda lag: zd, sc)
+            want = oracle_rhs(z, zd, sc)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+            clamped += sum(got[2 * i + 1] == 0.0 for i in stopped)
+        assert clamped >= 20  # the standstill clamp was exercised
+
+    def test_nonpositive_delayed_gap_raises(self):
+        # current gaps positive, but at t - tau vehicle 1 sat on vehicle 0
+        sc = build_uniform_scenario("idm_delayed")
+        z_now = initial_state(sc)
+        z_then = z_now.copy()
+        z_then[2] = z_then[0]
+        with pytest.raises(CollisionError):
+            rhs(0.0, z_now, lambda lag: z_then, sc)
+
+    def test_follower_stopper_delayed_gap_not_checked(self):
+        # the FollowerStopper vehicle acts on the current state only
+        sc = build_uniform_scenario("mixed_delayed")
+        z_now = initial_state(sc)
+        z_then = z_now.copy()
+        z_then[0] = z_then[18]  # vehicle 0 on its leader, vehicle 9, at t - tau
+        z_then[2] = (z_then[0] - 10.0) % 100.0
+        dz = rhs(0.0, z_now, lambda lag: z_then, sc)
+        np.testing.assert_allclose(dz, oracle_rhs(z_now, z_then, sc), rtol=1e-13, atol=1e-15)
 
 
 class TestDetectEvents:
