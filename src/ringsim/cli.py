@@ -14,11 +14,14 @@ Exit codes: 0 success, 2 configuration error, 3 collision-terminated run,
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+import typing
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from . import __version__, analysis, ring
 from .integrators import IntegrationError, IntegratorConfig
 from .models import FsParams, IdmParams
 
-__all__ = ["ConfigError", "main", "load_config", "run_one"]
+__all__ = ["ConfigError", "main", "config_from_dict", "run_one"]
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,6 +64,18 @@ class AnalysisSettings:
     settle_window_s: float = 200.0
     final_window_s: float = 100.0
 
+    def __post_init__(self):
+        for name in ("lyapunov_vehicle", "trim_s", "stop_speed",
+                     "settle_window_s", "final_window_s"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative")
+        for name in ("embed_dim", "heatmap_bins", "lag", "min_separation"):
+            val = getattr(self, name)
+            if val is not None and val < 1:
+                raise ValueError(f"{name} must be at least 1")
+        if not self.fit_window_s > 0:
+            raise ValueError("fit_window_s must be positive")
+
 
 @dataclass
 class OutputSettings:
@@ -78,80 +93,101 @@ class RunConfig:
     analysis: AnalysisSettings
     outputs: OutputSettings
 
+    def __post_init__(self):
+        n = self.scenario.n_vehicles
+        if self.analysis.lyapunov_vehicle >= n:
+            raise ValueError(
+                f"analysis.lyapunov_vehicle must be below the number of vehicles ({n})"
+            )
 
-def _expect(d, path: str, allowed: set[str]):
+
+# The "controller" tag of a vehicle entry names its parameter class.
+_CONTROLLERS = {"idm": IdmParams, "fs": FsParams}
+_SECTIONS = {"integrator": IntegratorConfig, "analysis": AnalysisSettings,
+             "outputs": OutputSettings}
+# Command-line overrides: flag -> (section, field, type, help). Each is set
+# in the config mapping and so checked like the field it sets.
+_CLI_OVERRIDES = {
+    "--seed": ("scenario", "seed", int, "perturbation seed override"),
+    "--t-end": ("scenario", "t_end", float, "duration override (s)"),
+    "--rel-tol": ("integrator", "rel_tol", float, "solver rel_tol override"),
+    "--abs-tol": ("integrator", "abs_tol", float, "solver abs_tol override"),
+}
+# Accepted JSON types and their description, per scalar annotation. Floats
+# must be finite: the manifest echoes every field and cannot hold inf or NaN.
+_SCALARS = {float: ((int, float), "a finite number"), int: (int, "an integer"),
+            bool: (bool, "true or false"), str: (str, "a string")}
+
+
+@functools.cache
+def _field_types(cls) -> dict:
+    """Resolved annotation of each field of a config dataclass."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+def _typed(val, tp, path: str):
+    """val checked against the annotation tp; ints become floats where a
+    float is expected, and bools are never numbers."""
+    args = typing.get_args(tp)
+    if type(None) in args:  # X | None
+        if val is None:
+            return None
+        (tp,) = (a for a in args if a is not type(None))
+    if tp in _SCALARS:
+        accepted, what = _SCALARS[tp]
+        if isinstance(val, accepted) and (tp is bool or not isinstance(val, bool)):
+            if tp is not float:
+                return val
+            if abs(val) <= sys.float_info.max:  # false for NaN, inf and huge ints
+                return float(val)
+        raise ConfigError(path, f"expected {what}, got {val!r}")
+    if typing.get_origin(tp) is tuple and Ellipsis not in args:
+        if not isinstance(val, (list, tuple)) or len(val) != len(args):
+            raise ConfigError(path, f"expected a list of {len(args)} entries, got {val!r}")
+        return tuple(_typed(x, a, f"{path}[{i}]") for i, (x, a) in enumerate(zip(val, args)))
+    raise TypeError(f"{path}: no config parser for {tp!r}")
+
+
+def _object(d, path: str) -> dict:
     if not isinstance(d, dict):
         raise ConfigError(path, f"expected an object, got {type(d).__name__}")
-    for key in d:
-        if key not in allowed:
+    return d
+
+
+def _section(cls, d: dict, path: str, skip=(), base=None, **given):
+    """Build cls from the mapping d.
+
+    Every key of d outside skip must name a field of cls that is not in
+    given, with a value of the field's annotated type. Fields missing from
+    d come from given, then from base, then from the class defaults. The
+    dataclass's own checks bound the values; a ValueError they raise
+    becomes a ConfigError at path.
+    """
+    types = _field_types(cls)
+    kwargs = dict(given)
+    for key, val in d.items():
+        if key in skip:
+            continue
+        if key not in types or key in given:
             raise ConfigError(f"{path}.{key}", "unknown field")
-
-
-def _number(d, key, path, default, minimum=None, allow_none=False):
-    val = d.get(key, default)
-    if val is None and allow_none:
-        return None
-    if not isinstance(val, (int, float)) or isinstance(val, bool):
-        raise ConfigError(f"{path}.{key}", f"expected a number, got {val!r}")
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"{path}.{key}", f"must be >= {minimum}, got {val!r}")
-    return float(val)
-
-
-def _integer(d, key, path, default, minimum=None, allow_none=False):
-    val = d.get(key, default)
-    if val is None and allow_none:
-        return None
-    if not isinstance(val, int) or isinstance(val, bool):
-        raise ConfigError(f"{path}.{key}", f"expected an integer, got {val!r}")
-    if minimum is not None and val < minimum:
-        raise ConfigError(f"{path}.{key}", f"must be >= {minimum}, got {val!r}")
-    return int(val)
+        kwargs[key] = _typed(val, types[key], f"{path}.{key}")
+    try:
+        return cls(**kwargs) if base is None else dataclasses.replace(base, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(path, str(exc)) from exc
 
 
 def _vehicle_from_dict(d, path: str):
-    if not isinstance(d, dict):
-        raise ConfigError(path, "expected an object per vehicle")
-    kind = d.get("controller")
-    if kind == "idm":
-        allowed = {"controller", "a", "v0", "delta", "s0", "T", "b"}
-        _expect(d, path, allowed)
-        base = IdmParams()
-        kwargs = {
-            k: _number(d, k, path, getattr(base, k))
-            for k in ("a", "v0", "delta", "s0", "T", "b")
-        }
-        try:
-            return IdmParams(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from exc
-    if kind == "fs":
-        allowed = {"controller", "r", "omega", "alpha", "k_track"}
-        _expect(d, path, allowed)
-        base = FsParams()
-        kwargs = {
-            "r": _number(d, "r", path, base.r),
-            "k_track": _number(d, "k_track", path, base.k_track),
-        }
-        for k in ("omega", "alpha"):
-            val = d.get(k, list(getattr(base, k)))
-            if not isinstance(val, (list, tuple)) or len(val) != 3:
-                raise ConfigError(f"{path}.{k}", "expected a list of 3 numbers")
-            kwargs[k] = tuple(float(x) for x in val)
-        try:
-            return FsParams(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from exc
-    raise ConfigError(f"{path}.controller", f"expected 'idm' or 'fs', got {kind!r}")
+    kind = _object(d, path).get("controller")
+    if not isinstance(kind, str) or kind not in _CONTROLLERS:
+        raise ConfigError(f"{path}.controller", f"expected 'idm' or 'fs', got {kind!r}")
+    return _section(_CONTROLLERS[kind], d, path, skip=("controller",))
 
 
 def _scenario_from_dict(d, path="scenario") -> ring.RingScenario:
-    allowed = {
-        "preset", "vehicles", "ring_length", "tau", "v_init",
-        "perturb_amp", "seed", "t_end", "sample_hz",
-    }
-    _expect(d, path, allowed)
-    preset = d.get("preset")
+    skip = ("preset", "vehicles")  # "vehicles" is the config name of the controllers
+    preset = _object(d, path).get("preset")
     if preset is not None:
         if preset not in ring.PRESET_NAMES:
             raise ConfigError(
@@ -160,162 +196,58 @@ def _scenario_from_dict(d, path="scenario") -> ring.RingScenario:
         if "vehicles" in d:
             raise ConfigError(f"{path}.vehicles", "give either a preset or a vehicle list")
         base = ring.build_uniform_scenario(preset)
-    elif "vehicles" in d:
-        vehicles = d["vehicles"]
-        if not isinstance(vehicles, list) or len(vehicles) < 2:
-            raise ConfigError(f"{path}.vehicles", "expected a list of at least 2 vehicles")
-        controllers = tuple(
-            _vehicle_from_dict(v, f"{path}.vehicles[{i}]") for i, v in enumerate(vehicles)
-        )
-        try:
-            base = ring.RingScenario(
-                ring_length=_number(d, "ring_length", path, 100.0, minimum=1e-9),
-                controllers=controllers,
-            )
-        except ValueError as exc:
-            raise ConfigError(path, str(exc)) from exc
-    else:
+        return _section(ring.RingScenario, d, path, skip, base, controllers=base.controllers)
+    if "vehicles" not in d:
         raise ConfigError(f"{path}.preset", "a preset name or a vehicle list is required")
-    overrides = {}
-    if "ring_length" in d and preset is not None:
-        overrides["ring_length"] = _number(d, "ring_length", path, base.ring_length, minimum=1e-9)
-    overrides["tau"] = _number(d, "tau", path, base.tau, minimum=0.0)
-    overrides["v_init"] = _number(d, "v_init", path, base.v_init, minimum=0.0)
-    overrides["perturb_amp"] = _number(d, "perturb_amp", path, base.perturb_amp, minimum=0.0)
-    overrides["seed"] = _integer(d, "seed", path, base.seed)
-    overrides["t_end"] = _number(d, "t_end", path, base.t_end, minimum=0.0)
-    overrides["sample_hz"] = _number(d, "sample_hz", path, base.sample_hz, minimum=1e-9)
-    try:
-        return replace(base, **overrides)
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
-
-
-def _integrator_from_dict(d, path="integrator") -> IntegratorConfig:
-    allowed = {"rel_tol", "abs_tol", "h_init", "h_max", "max_steps"}
-    _expect(d, path, allowed)
-    base = IntegratorConfig()
-    try:
-        return IntegratorConfig(
-            rel_tol=_number(d, "rel_tol", path, base.rel_tol, minimum=0.0),
-            abs_tol=_number(d, "abs_tol", path, base.abs_tol, minimum=0.0),
-            h_init=_number(d, "h_init", path, base.h_init, allow_none=True),
-            h_max=_number(d, "h_max", path, base.h_max, minimum=0.0),
-            max_steps=_integer(d, "max_steps", path, base.max_steps, minimum=1),
-        )
-    except ValueError as exc:
-        raise ConfigError(path, str(exc)) from exc
-
-
-def _analysis_from_dict(d, path="analysis") -> AnalysisSettings:
-    allowed = {
-        "lyapunov_vehicle", "embed_dim", "lag", "min_separation", "fit_window_s",
-        "trim_s", "heatmap_bins", "stop_speed", "settle_window_s", "final_window_s",
-    }
-    _expect(d, path, allowed)
-    base = AnalysisSettings()
-    return AnalysisSettings(
-        lyapunov_vehicle=_integer(d, "lyapunov_vehicle", path, base.lyapunov_vehicle, minimum=0),
-        embed_dim=_integer(d, "embed_dim", path, base.embed_dim, minimum=1),
-        lag=_integer(d, "lag", path, base.lag, minimum=1, allow_none=True),
-        min_separation=_integer(d, "min_separation", path, base.min_separation,
-                                minimum=1, allow_none=True),
-        fit_window_s=_number(d, "fit_window_s", path, base.fit_window_s, minimum=1e-9),
-        trim_s=_number(d, "trim_s", path, base.trim_s, minimum=0.0),
-        heatmap_bins=_integer(d, "heatmap_bins", path, base.heatmap_bins, minimum=1),
-        stop_speed=_number(d, "stop_speed", path, base.stop_speed, minimum=0.0),
-        settle_window_s=_number(d, "settle_window_s", path, base.settle_window_s, minimum=0.0),
-        final_window_s=_number(d, "final_window_s", path, base.final_window_s, minimum=0.0),
+    vehicles = d["vehicles"]
+    if not isinstance(vehicles, list) or len(vehicles) < 2:
+        raise ConfigError(f"{path}.vehicles", "expected a list of at least 2 vehicles")
+    controllers = tuple(
+        _vehicle_from_dict(v, f"{path}.vehicles[{i}]") for i, v in enumerate(vehicles)
     )
-
-
-def _outputs_from_dict(d, path="outputs") -> OutputSettings:
-    allowed = {"dir", "trajectory", "fd", "heatmap", "phase"}
-    _expect(d, path, allowed)
-    base = OutputSettings()
-    out_dir = d.get("dir", base.dir)
-    if out_dir is not None and not isinstance(out_dir, str):
-        raise ConfigError(f"{path}.dir", "expected a string path")
-    settings = OutputSettings(dir=out_dir)
-    for key in ("trajectory", "fd", "heatmap", "phase"):
-        val = d.get(key, True)
-        if not isinstance(val, bool):
-            raise ConfigError(f"{path}.{key}", f"expected true or false, got {val!r}")
-        setattr(settings, key, val)
-    return settings
+    return _section(ring.RingScenario, {"ring_length": 100.0, **d}, path, skip,
+                    controllers=controllers)
 
 
 def config_from_dict(d) -> RunConfig:
     """Validate and resolve a configuration mapping into a RunConfig."""
-    if not isinstance(d, dict):
-        raise ConfigError("config", "top level must be an object")
-    if "config" in d and "scenario" not in d:
+    if isinstance(d, dict) and "config" in d and "scenario" not in d:
         d = d["config"]  # manifest files wrap the config they echo
-        if not isinstance(d, dict):
-            raise ConfigError("config", "manifest 'config' entry must be an object")
-    _expect(d, "config", {"scenario", "integrator", "analysis", "outputs"})
+    for key in _object(d, "config"):
+        if key != "scenario" and key not in _SECTIONS:
+            raise ConfigError(f"config.{key}", "unknown field")
     if "scenario" not in d:
         raise ConfigError("config.scenario", "required section missing")
-    return RunConfig(
-        scenario=_scenario_from_dict(d["scenario"]),
-        integrator=_integrator_from_dict(d.get("integrator", {})),
-        analysis=_analysis_from_dict(d.get("analysis", {})),
-        outputs=_outputs_from_dict(d.get("outputs", {})),
-    )
-
-
-def load_config(path: str) -> RunConfig:
+    scenario = _scenario_from_dict(d["scenario"])
+    sections = {name: _section(cls, _object(d.get(name, {}), name), name)
+                for name, cls in _SECTIONS.items()}
     try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError("config", f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError("config", f"invalid JSON in {path}: {exc}") from exc
-    return config_from_dict(raw)
-
-
-def _vehicle_to_dict(p) -> dict:
-    if isinstance(p, IdmParams):
-        return {"controller": "idm", "a": p.a, "v0": p.v0, "delta": p.delta,
-                "s0": p.s0, "T": p.T, "b": p.b}
-    return {"controller": "fs", "r": p.r, "omega": list(p.omega),
-            "alpha": list(p.alpha), "k_track": p.k_track}
+        return RunConfig(scenario=scenario, **sections)
+    except ValueError as exc:
+        raise ConfigError("config", str(exc)) from exc
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """Fully resolved echo of a RunConfig; loadable by config_from_dict."""
-    sc = cfg.scenario
-    it = cfg.integrator
-    an = cfg.analysis
-    out = cfg.outputs
-    return {
-        "scenario": {
-            "ring_length": sc.ring_length,
-            "vehicles": [_vehicle_to_dict(p) for p in sc.controllers],
-            "tau": sc.tau,
-            "v_init": sc.v_init,
-            "perturb_amp": sc.perturb_amp,
-            "seed": sc.seed,
-            "t_end": sc.t_end,
-            "sample_hz": sc.sample_hz,
-        },
-        "integrator": {
-            "rel_tol": it.rel_tol, "abs_tol": it.abs_tol, "h_init": it.h_init,
-            "h_max": it.h_max, "max_steps": it.max_steps,
-        },
-        "analysis": {
-            "lyapunov_vehicle": an.lyapunov_vehicle, "embed_dim": an.embed_dim,
-            "lag": an.lag, "min_separation": an.min_separation,
-            "fit_window_s": an.fit_window_s, "trim_s": an.trim_s,
-            "heatmap_bins": an.heatmap_bins, "stop_speed": an.stop_speed,
-            "settle_window_s": an.settle_window_s, "final_window_s": an.final_window_s,
-        },
-        "outputs": {
-            "dir": out.dir, "trajectory": out.trajectory, "fd": out.fd,
-            "heatmap": out.heatmap, "phase": out.phase,
-        },
-    }
+    out = dataclasses.asdict(cfg)
+    tags = {cls: name for name, cls in _CONTROLLERS.items()}
+    scenario = out["scenario"]
+    scenario["controllers"] = [{"controller": tags[type(p)], **v}
+                               for p, v in zip(cfg.scenario.controllers, scenario["controllers"])]
+    # renamed in place, so the echo keeps the field order
+    out["scenario"] = {"vehicles" if k == "controllers" else k: v for k, v in scenario.items()}
+    return out
+
+
+def _write_json(path: str, obj) -> None:
+    with open(path, "w") as fh:
+        json.dump(obj, fh, indent=2, allow_nan=False)
+        fh.write("\n")
+
+
+def _manifest(cfg: RunConfig, **extra) -> dict:
+    """Loadable record of a run: the tool, its version and the resolved config."""
+    return {"tool": "ringsim", "version": __version__, "config": config_to_dict(cfg), **extra}
 
 
 def _write_table(path, header: str, columns, fmts):
@@ -369,9 +301,7 @@ def write_artifacts(out_dir: str, cfg: RunConfig, traj, series) -> dict:
         )
 
     stats = compute_stats(cfg, traj, series)
-    with open(os.path.join(out_dir, "stats.json"), "w") as fh:
-        json.dump(stats, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "stats.json"), stats)
 
     events = analysis.stop_events(series, an.stop_speed)
     with open(os.path.join(out_dir, "events.csv"), "w") as fh:
@@ -382,10 +312,7 @@ def write_artifacts(out_dir: str, cfg: RunConfig, traj, series) -> dict:
             veh = getattr(payload, "vehicle", "")
             fh.write(f"{t:.17g},collision,{veh}\n")
 
-    manifest = {"tool": "ringsim", "version": __version__, "config": config_to_dict(cfg)}
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, allow_nan=False)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, "manifest.json"), _manifest(cfg))
     return stats
 
 
@@ -461,11 +388,7 @@ def run_one(cfg: RunConfig, out_dir: str) -> tuple[int, dict]:
         traj = ring.simulate(cfg.scenario, cfg.integrator)
     except IntegrationError as exc:
         os.makedirs(out_dir, exist_ok=True)
-        manifest = {"tool": "ringsim", "version": __version__,
-                    "config": config_to_dict(cfg), "error": str(exc)}
-        with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, allow_nan=False)
-            fh.write("\n")
+        _write_json(os.path.join(out_dir, "manifest.json"), _manifest(cfg, error=str(exc)))
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER, {"status": "solver_failure", "error": str(exc)}
     series = ring.sample(traj, cfg.scenario)
@@ -477,18 +400,17 @@ def _default_out_dir() -> str:
     return os.environ.get(OUT_ENV_VAR, "runs")
 
 
-def _apply_cli_overrides(cfg: RunConfig, args) -> RunConfig:
-    sc = cfg.scenario
-    if args.seed is not None:
-        sc = replace(sc, seed=args.seed)
-    if getattr(args, "t_end", None) is not None:
-        sc = replace(sc, t_end=args.t_end)
-    it = cfg.integrator
-    if args.rel_tol is not None:
-        it = replace(it, rel_tol=args.rel_tol)
-    if args.abs_tol is not None:
-        it = replace(it, abs_tol=args.abs_tol)
-    return RunConfig(scenario=sc, integrator=it, analysis=cfg.analysis, outputs=cfg.outputs)
+def _config_with_overrides(d, args) -> RunConfig:
+    """RunConfig of the config mapping d with the command-line overrides
+    set in its sections, so they get the checks of a config-file field."""
+    if isinstance(d, dict) and "config" in d and "scenario" not in d:
+        d = d["config"]  # a manifest: override the config it echoes
+    for section, key, _, _ in _CLI_OVERRIDES.values():
+        val = getattr(args, key)
+        # a malformed mapping is left for config_from_dict to report
+        if val is not None and isinstance(d, dict) and isinstance(d.get(section, {}), dict):
+            d = {**d, section: {**d.get(section, {}), key: val}}
+    return config_from_dict(d)
 
 
 def _fmt_cell(x):
@@ -501,12 +423,18 @@ def _fmt_cell(x):
 
 def cmd_run(args) -> int:
     if args.config:
-        cfg = load_config(args.config)
+        try:
+            with open(args.config) as fh:
+                raw = json.load(fh)
+        except OSError as exc:
+            raise ConfigError("config", f"cannot read {args.config}: {exc}") from exc
+        except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
+            raise ConfigError("config", f"invalid JSON in {args.config}: {exc}") from exc
     elif args.preset:
-        cfg = config_from_dict({"scenario": {"preset": args.preset}})
+        raw = {"scenario": {"preset": args.preset}}
     else:
         raise ConfigError("run", "either --preset or --config is required")
-    cfg = _apply_cli_overrides(cfg, args)
+    cfg = _config_with_overrides(raw, args)
     out_dir = args.out or cfg.outputs.dir or _default_out_dir()
     code, stats = run_one(cfg, out_dir)
     if code != EXIT_SOLVER:
@@ -536,8 +464,7 @@ def cmd_compare(args) -> int:
     rows = []
     worst = EXIT_OK
     for preset in presets:
-        cfg = config_from_dict({"scenario": {"preset": preset}})
-        cfg = _apply_cli_overrides(cfg, args)
+        cfg = _config_with_overrides({"scenario": {"preset": preset}}, args)
         code, stats = run_one(cfg, os.path.join(out_root, preset))
         worst = max(worst, code)
         if code == EXIT_SOLVER:
@@ -591,22 +518,17 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="integrate one scenario and write artifacts")
     run_p.add_argument("--preset", choices=ring.PRESET_NAMES, help="stock scenario name")
     run_p.add_argument("--config", help="JSON config file (or a manifest from a prior run)")
-    run_p.add_argument("--seed", type=int, help="perturbation seed override")
-    run_p.add_argument("--t-end", dest="t_end", type=float, help="duration override (s)")
-    run_p.add_argument("--rel-tol", dest="rel_tol", type=float, help="solver rel_tol override")
-    run_p.add_argument("--abs-tol", dest="abs_tol", type=float, help="solver abs_tol override")
     run_p.add_argument("-o", "--out", help=f"output directory (default ${OUT_ENV_VAR} or ./runs)")
     run_p.set_defaults(func=cmd_run)
 
     cmp_p = sub.add_parser("compare", help="run several presets and tabulate the results")
     cmp_p.add_argument("--presets", default=",".join(ring.PRESET_NAMES),
                        help="comma-separated preset names")
-    cmp_p.add_argument("--seed", type=int, help="perturbation seed override")
-    cmp_p.add_argument("--t-end", dest="t_end", type=float, help="duration override (s)")
-    cmp_p.add_argument("--rel-tol", dest="rel_tol", type=float, help="solver rel_tol override")
-    cmp_p.add_argument("--abs-tol", dest="abs_tol", type=float, help="solver abs_tol override")
     cmp_p.add_argument("-o", "--out", help="output root; one subdirectory per preset")
     cmp_p.set_defaults(func=cmd_compare)
+    for sub_p in (run_p, cmp_p):
+        for flag, (_, key, tp, text) in _CLI_OVERRIDES.items():
+            sub_p.add_argument(flag, dest=key, type=tp, help=text)
     return parser
 
 

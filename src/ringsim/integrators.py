@@ -86,8 +86,9 @@ class IntegratorConfig:
     max_steps: int = 1_000_000
 
     def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
+        for name in ("rel_tol", "abs_tol"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
         if not self.h_max > 0:
             raise ValueError("h_max must be positive")
         if self.h_init is not None and not self.h_init > 0:

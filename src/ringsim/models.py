@@ -74,7 +74,7 @@ class IdmParams:
         for name in ("a", "v0", "delta", "s0", "b"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"IdmParams.{name} must be positive")
-        if self.T < 0:
+        if not self.T >= 0:
             raise ValueError("IdmParams.T must be nonnegative")
 
     @property
@@ -143,7 +143,7 @@ class FsParams:
             raise ValueError("FsParams.k_track must be positive")
         if not (0 < self.omega[0] < self.omega[1] < self.omega[2]):
             raise ValueError("FsParams.omega must be strictly increasing and positive")
-        if any(g <= 0 for g in self.alpha):
+        if not all(g > 0 for g in self.alpha):
             raise ValueError("FsParams.alpha must all be positive")
         q = np.minimum(0.0, _FS_DV_CHECK_GRID) ** 2 / 2.0
         d1 = self.omega[0] + q / self.alpha[0]

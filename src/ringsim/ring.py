@@ -103,7 +103,7 @@ class RingScenario:
     tau : reaction delay applied to IDM inputs only (s, 0 disables)
     v_init : nominal initial speed of every vehicle (m/s)
     perturb_amp : half-width of the uniform velocity perturbation (m/s)
-    seed : perturbation RNG seed
+    seed : perturbation RNG seed (nonnegative)
     t_end : simulated duration (s)
     sample_hz : uniform output sampling rate (Hz)
     """
@@ -131,14 +131,9 @@ class RingScenario:
             raise ValueError(
                 "ring too crowded: average spacing must exceed every standstill gap"
             )
-        if self.tau < 0:
-            raise ValueError("tau must be nonnegative")
-        if self.v_init < 0:
-            raise ValueError("v_init must be nonnegative")
-        if self.perturb_amp < 0:
-            raise ValueError("perturb_amp must be nonnegative")
-        if self.t_end < 0:
-            raise ValueError("t_end must be nonnegative")
+        for name in ("tau", "v_init", "perturb_amp", "seed", "t_end"):
+            if not getattr(self, name) >= 0:
+                raise ValueError(f"{name} must be nonnegative")
         if not self.sample_hz > 0:
             raise ValueError("sample_hz must be positive")
 
@@ -277,21 +272,21 @@ def _deriv(z: np.ndarray, z_delayed: np.ndarray, fleet: _Fleet) -> np.ndarray:
     return out
 
 
-def rhs(t, z, delayed_accessor, scenario: RingScenario) -> np.ndarray:
+def rhs(t, z, z_delayed, scenario: RingScenario) -> np.ndarray:
     """Time derivative of the fleet state.
 
-    delayed_accessor maps a lag to the state at t minus that lag; it is
-    queried once with scenario.tau (an identity accessor is fine when
-    tau is 0). Position derivatives always equal the current velocity
-    slots. IDM accelerations are evaluated entirely from the delayed
-    state; the FollowerStopper vehicle from the current one. Speeds fed to
-    the controllers are clamped at zero, and a vehicle at standstill is
-    never given a negative acceleration.
+    z_delayed is the state at t - scenario.tau; it is read only when tau
+    is positive, so z itself may be passed when tau is 0. Position
+    derivatives always equal the current velocity slots. IDM
+    accelerations are evaluated entirely from the delayed state; the
+    FollowerStopper vehicle from the current one. Speeds fed to the
+    controllers are clamped at zero, and a vehicle at standstill is never
+    given a negative acceleration.
 
     Raises CollisionError as soon as any gap is nonpositive.
     """
     z = np.asarray(z, dtype=float)
-    zd = np.asarray(delayed_accessor(scenario.tau), dtype=float) if scenario.tau > 0 else z
+    zd = np.asarray(z_delayed, dtype=float) if scenario.tau > 0 else z
     return _deriv(z, zd, _Fleet(scenario))
 
 

@@ -94,7 +94,7 @@ def jacobian_rate(scenario):
     h = 1e-6
 
     def f(z):
-        return rhs(0.0, z, lambda lag: z, scenario)
+        return rhs(0.0, z, z, scenario)
 
     jac = np.column_stack([(f(z0 + e) - f(z0 - e)) / (2.0 * h)
                            for e in h * np.eye(z0.size)])

@@ -1,14 +1,21 @@
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ringsim.ring
 from ringsim import cli
 from ringsim.analysis import fundamental_diagram
-from ringsim.ring import RingSeries
+from ringsim.integrators import IntegratorConfig
+from ringsim.models import FsParams, IdmParams
+from ringsim.ring import RingScenario, RingSeries
+
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def run_cli(*argv):
@@ -125,6 +132,14 @@ class TestRun:
         assert target.is_dir()
 
 
+_IDM = {"preset": "idm"}
+_INLINE = {"ring_length": 50.0, "vehicles": [{"controller": "idm"}] * 2}
+
+
+def _fs_ring(**fs):
+    return {"ring_length": 50.0, "vehicles": [{"controller": "fs", **fs}, {"controller": "idm"}]}
+
+
 class TestConfigErrors:
     def test_unknown_field_names_path(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -166,6 +181,156 @@ class TestConfigErrors:
 
     def test_run_requires_source(self, capsys):
         assert run_cli("run") == cli.EXIT_CONFIG
+
+    def test_integer_over_digit_limit(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"scenario": {"preset": "idm", "seed": 1' + "0" * 5000 + "}}")
+        assert run_cli("run", "--config", str(path)) == cli.EXIT_CONFIG
+        assert "invalid JSON" in capsys.readouterr().err
+
+    # (config, text stderr must contain): per section, a value of the wrong
+    # type and one out of range. Outputs has no ranged field.
+    @pytest.mark.parametrize("cfg, field", [
+        ({"scenario": {**_IDM, "controllers": []}}, "scenario.controllers: unknown field"),
+        ({"scenario": {**_IDM, "seed": 1.5}}, "scenario.seed"),
+        ({"scenario": {**_IDM, "seed": -1}}, "seed"),
+        ({"scenario": {**_IDM, "tau": -0.5}}, "tau"),
+        ({"scenario": {**_IDM, "t_end": float("nan")}}, "scenario.t_end"),
+        ({"scenario": {**_IDM, "perturb_amp": float("inf")}}, "scenario.perturb_amp"),
+        ({"scenario": {**_IDM, "t_end": 10**400}}, "scenario.t_end"),
+        ({"scenario": {**_INLINE, "ring_length": "long"}}, "scenario.ring_length"),
+        ({"scenario": {**_INLINE, "ring_length": 0}}, "ring_length"),
+        ({"scenario": {**_INLINE, "vehicles": [{"controller": "idm", "a": "fast"}] * 2}},
+         "scenario.vehicles[0].a"),
+        ({"scenario": {**_INLINE, "vehicles": [{"controller": "idm", "T": -1}] * 2}},
+         "IdmParams.T"),
+        ({"scenario": {**_INLINE, "vehicles": [{"controller": "idm", "v0": float("inf")}] * 2}},
+         "scenario.vehicles[0].v0"),
+        ({"scenario": _fs_ring(omega=["a", 3.0, 4.5])}, "scenario.vehicles[0].omega[0]"),
+        ({"scenario": _fs_ring(omega=[True, 3.0, 4.5])}, "scenario.vehicles[0].omega[0]"),
+        ({"scenario": _fs_ring(alpha=[1.0, "1.5", 0.5])}, "scenario.vehicles[0].alpha[1]"),
+        ({"scenario": _fs_ring(alpha=[1.0, 0.7])}, "scenario.vehicles[0].alpha"),
+        ({"scenario": _fs_ring(r=0)}, "FsParams.r"),
+        ({"scenario": _IDM, "integrator": {"rel_tol": "tight"}}, "integrator.rel_tol"),
+        ({"scenario": _IDM, "integrator": {"abs_tol": 0}}, "abs_tol"),
+        ({"scenario": _IDM, "integrator": {"max_steps": 10.0}}, "integrator.max_steps"),
+        ({"scenario": _IDM, "integrator": {"h_init": -1}}, "h_init"),
+        ({"scenario": _IDM, "analysis": {"lag": "3"}}, "analysis.lag"),
+        ({"scenario": _IDM, "analysis": {"lag": 0}}, "lag"),
+        ({"scenario": _IDM, "analysis": {"fit_window_s": 0}}, "fit_window_s"),
+        ({"scenario": _IDM, "analysis": {"heatmap_bins": True}}, "analysis.heatmap_bins"),
+        ({"scenario": _IDM, "analysis": {"stop_speed": -0.1}}, "stop_speed"),
+        ({"scenario": _IDM, "analysis": {"lyapunov_vehicle": 10}}, "analysis.lyapunov_vehicle"),
+        ({"scenario": _IDM, "analysis": {"lyapunov_vehicle": -1}}, "lyapunov_vehicle"),
+        ({"scenario": _IDM, "outputs": {"fd": 1}}, "outputs.fd"),
+        ({"scenario": _IDM, "outputs": {"dir": 5}}, "outputs.dir"),
+    ])
+    def test_rejected_value_names_field(self, tmp_path, capsys, cfg, field):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(path), "-o", str(out)) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and field in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("make", [
+        lambda: RingScenario(100.0, [IdmParams()] * 2, t_end=float("nan")),
+        lambda: IdmParams(T=float("nan")),
+        lambda: FsParams(alpha=(1.0, 0.7, float("nan"))),
+        lambda: cli.AnalysisSettings(stop_speed=float("nan")),
+    ])
+    def test_dataclass_bounds_reject_nan(self, make):
+        with pytest.raises(ValueError):
+            make()
+
+    @pytest.mark.parametrize("argv, field", [
+        (["run", "--preset", "idm", "--rel-tol", "0"], "rel_tol"),
+        (["run", "--preset", "idm", "--t-end", "-5"], "t_end"),
+        (["run", "--preset", "idm", "--seed", "-1"], "seed"),
+        (["compare", "--presets", "idm", "--abs-tol", "-1"], "abs_tol"),
+        (["compare", "--presets", "idm", "--t-end", "nan"], "t_end"),
+    ])
+    def test_cli_override_checked_like_file_field(self, tmp_path, capsys, argv, field):
+        out = tmp_path / "out"
+        assert run_cli(*argv, "-o", str(out)) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and field in err
+        assert not out.exists()
+
+    def test_overrides_apply_to_manifest_config(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"tool": "ringsim", "config": {
+            "scenario": {"preset": "idm", "t_end": 1.0}, "integrator": {"h_max": 0.2}}}))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(path), "--seed", "3", "--rel-tol", "1e-5",
+                       "-o", str(out)) == 0
+        echo = json.loads((out / "manifest.json").read_text())["config"]
+        assert echo["scenario"]["seed"] == 3 and echo["scenario"]["t_end"] == 1.0
+        assert echo["integrator"]["rel_tol"] == 1e-5 and echo["integrator"]["h_max"] == 0.2
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def run_configs(draw):
+    idm = st.builds(IdmParams, a=_floats(0.01, 5), v0=_floats(0.1, 50),
+                    delta=_floats(0.5, 8), s0=_floats(0.01, 5), T=_floats(0, 3),
+                    b=_floats(0.01, 5))
+
+    @st.composite
+    def fs(draw):
+        # increasing omega with nonincreasing alpha keeps the switching
+        # boundaries ordered at every closing speed
+        w = sorted(draw(st.lists(_floats(0.1, 10), min_size=3, max_size=3, unique=True)))
+        a = sorted(draw(st.lists(_floats(0.1, 3), min_size=3, max_size=3)), reverse=True)
+        return FsParams(r=draw(_floats(0.1, 30)), omega=w, alpha=a,
+                        k_track=draw(_floats(0.01, 10)))
+
+    controllers = draw(st.lists(idm | fs(), min_size=2, max_size=12))
+    s0_max = max([p.s0 for p in controllers if isinstance(p, IdmParams)], default=0.0)
+    n = len(controllers)
+    scenario = RingScenario(
+        ring_length=draw(_floats(1.01, 10)) * max(s0_max, 1.0) * n,
+        controllers=controllers, tau=draw(_floats(0, 2)), v_init=draw(_floats(0, 30)),
+        perturb_amp=draw(_floats(0, 1)), seed=draw(st.integers(0, 2**63)),
+        t_end=draw(_floats(0, 3000)), sample_hz=draw(_floats(0.01, 100)),
+    )
+    optional_int = st.none() | st.integers(1, 100)
+    return cli.RunConfig(
+        scenario=scenario,
+        integrator=IntegratorConfig(
+            rel_tol=draw(_floats(1e-12, 1)), abs_tol=draw(_floats(1e-15, 1)),
+            h_init=draw(st.none() | _floats(1e-6, 1)), h_max=draw(_floats(1e-4, 10)),
+            max_steps=draw(st.integers(1, 10**7))),
+        analysis=cli.AnalysisSettings(
+            lyapunov_vehicle=draw(st.integers(0, n - 1)), embed_dim=draw(st.integers(1, 10)),
+            lag=draw(optional_int), min_separation=draw(optional_int),
+            fit_window_s=draw(_floats(1e-6, 100)), trim_s=draw(_floats(0, 100)),
+            heatmap_bins=draw(st.integers(1, 1000)), stop_speed=draw(_floats(0, 1)),
+            settle_window_s=draw(_floats(0, 1000)), final_window_s=draw(_floats(0, 1000))),
+        outputs=cli.OutputSettings(
+            dir=draw(st.none() | st.text(max_size=10)), trajectory=draw(st.booleans()),
+            fd=draw(st.booleans()), heatmap=draw(st.booleans()), phase=draw(st.booleans())),
+    )
+
+
+class TestConfigEcho:
+    @settings(max_examples=200, deadline=None)
+    @given(run_configs())
+    def test_echo_round_trips(self, cfg):
+        echo = cli.config_to_dict(cfg)
+        assert cli.config_from_dict(echo) == cfg
+        assert cli.config_from_dict(json.loads(json.dumps(echo))) == cfg
+
+    def test_readme_json_examples_parse(self):
+        with open(README) as fh:
+            blocks = re.findall(r"```json\n(.*?)```", fh.read(), re.S)
+        assert len(blocks) >= 2
+        for block in blocks:
+            cli.config_from_dict(json.loads(block))
 
 
 class TestFailureExitCodes:

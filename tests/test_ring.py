@@ -33,10 +33,6 @@ from ringsim.ring import (
 TIGHT = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)
 
 
-def identity_accessor(z):
-    return lambda lag: z
-
-
 class TestGap:
     def test_simple(self):
         assert gap(0.0, 10.0, 100.0) == 10.0
@@ -138,7 +134,7 @@ class TestRhs:
         rng = np.random.default_rng(0)
         z = initial_state(sc)
         z[1::2] = rng.uniform(0.0, 8.0, 10)
-        dz = rhs(0.0, z, identity_accessor(z), sc)
+        dz = rhs(0.0, z, z, sc)
         assert np.array_equal(dz[0::2], z[1::2])
 
     def test_equilibrium_is_fixed_point(self):
@@ -146,7 +142,7 @@ class TestRhs:
         v_e = idm_equilibrium_speed(10.0, IdmParams())
         z = initial_state(sc)
         z[1::2] = v_e
-        dz = rhs(0.0, z, identity_accessor(z), sc)
+        dz = rhs(0.0, z, z, sc)
         assert np.max(np.abs(dz[1::2])) < 1e-11
         assert np.all(dz[0::2] == v_e)
 
@@ -158,11 +154,11 @@ class TestRhs:
         z[2] = (z[0] - 1.5) % 100.0  # 1.5 m behind vehicle 0, below s0 = 2
         z[1::2] = 5.0
         z[3] = 0.0
-        dz = rhs(0.0, z, identity_accessor(z), sc)
+        dz = rhs(0.0, z, z, sc)
         assert dz[3] == 0.0
         # the same state with the vehicle still moving would brake hard
         z[3] = 1.0
-        dz = rhs(0.0, z, identity_accessor(z), sc)
+        dz = rhs(0.0, z, z, sc)
         assert dz[3] < 0.0
 
     def test_moving_vehicle_brakes_near_leader(self):
@@ -170,7 +166,7 @@ class TestRhs:
         z = initial_state(sc)
         z[2] = (z[0] - 2.5) % 100.0
         z[1::2] = 5.0
-        dz = rhs(0.0, z, identity_accessor(z), sc)
+        dz = rhs(0.0, z, z, sc)
         assert dz[3] < -1.0
 
     def test_collision_raises(self):
@@ -178,7 +174,7 @@ class TestRhs:
         z = initial_state(sc)
         z[2] = z[0]
         with pytest.raises(CollisionError):
-            rhs(0.0, z, identity_accessor(z), sc)
+            rhs(0.0, z, z, sc)
 
     def test_delayed_inputs_feed_idm(self):
         # with tau > 0 the IDM must see the delayed state, not the current;
@@ -187,9 +183,9 @@ class TestRhs:
         z_now = initial_state(sc)
         z_then = z_now.copy()
         z_then[1::2] = 2.0  # delayed speeds differ
-        dz = rhs(0.0, z_now, lambda lag: z_then, sc)
+        dz = rhs(0.0, z_now, z_then, sc)
         sc0 = replace(sc, tau=0.0)
-        dz_ref = rhs(0.0, z_then, identity_accessor(z_then), sc0)
+        dz_ref = rhs(0.0, z_then, z_then, sc0)
         assert np.allclose(dz[1::2], dz_ref[1::2], atol=1e-15)
         # kinematics stays current
         assert np.array_equal(dz[0::2], z_now[1::2])
@@ -199,7 +195,7 @@ class TestRhs:
         z_now = initial_state(sc)
         z_then = z_now.copy()
         z_then[1::2] = 0.0
-        dz = rhs(0.0, z_now, lambda lag: z_then, sc)
+        dz = rhs(0.0, z_now, z_then, sc)
         # vehicle 0 (FollowerStopper) reacts to the current state: gap 10 is
         # beyond the outermost envelope so it tracks r = 4.75 from v = 5
         assert dz[1] == pytest.approx(1.0 * (4.75 - 5.0), abs=1e-12)
@@ -272,7 +268,7 @@ class TestRhsMatchesScalarOracle:
             stopped = (3, 9) if k % 2 else ()
             z = random_ring_state(rng, self.N, self.LENGTH, stopped)
             zd = random_ring_state(rng, self.N, self.LENGTH, stopped) if delayed else z
-            got = rhs(0.0, z, lambda lag: zd, sc)
+            got = rhs(0.0, z, zd, sc)
             want = oracle_rhs(z, zd, sc)
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
             clamped += sum(got[2 * i + 1] == 0.0 for i in stopped)
@@ -285,7 +281,7 @@ class TestRhsMatchesScalarOracle:
         z_then = z_now.copy()
         z_then[2] = z_then[0]
         with pytest.raises(CollisionError):
-            rhs(0.0, z_now, lambda lag: z_then, sc)
+            rhs(0.0, z_now, z_then, sc)
 
     def test_follower_stopper_delayed_gap_not_checked(self):
         # the FollowerStopper vehicle acts on the current state only
@@ -294,7 +290,7 @@ class TestRhsMatchesScalarOracle:
         z_then = z_now.copy()
         z_then[0] = z_then[18]  # vehicle 0 on its leader, vehicle 9, at t - tau
         z_then[2] = (z_then[0] - 10.0) % 100.0
-        dz = rhs(0.0, z_now, lambda lag: z_then, sc)
+        dz = rhs(0.0, z_now, z_then, sc)
         np.testing.assert_allclose(dz, oracle_rhs(z_now, z_then, sc), rtol=1e-13, atol=1e-15)
 
 
