@@ -26,25 +26,19 @@ from .integrators import (
     Trajectory,
     integrate_dde,
     integrate_ode,
-    resample,
 )
 from .ring import (
     Collision,
     PRESET_NAMES,
     RingScenario,
     RingSeries,
-    Stop,
-    VehicleState,
     apply_perturbation,
     build_uniform_scenario,
-    detect_events,
     equilibrium_scenario,
-    gap,
     initial_state,
     rhs,
     sample,
     simulate,
-    vehicle_states,
 )
 from .analysis import (
     FD_DTYPE,

@@ -8,13 +8,14 @@ method of steps (each lag-length interval is integrated with delayed
 lookups served from the history function or from the dense interpolant of
 already-completed steps).
 
-:func:`resample` converts an adaptive-step trajectory to a uniform-rate
-series by linear interpolation between stored samples.
+One evaluator reads every state off a trajectory, at a scalar instant or
+at a 1-d array of them: the delayed lookups while integrating,
+:meth:`Trajectory.evaluate` and, through it, the uniform-rate series of
+:func:`ringsim.ring.sample`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,6 @@ __all__ = [
     "Trajectory",
     "integrate_ode",
     "integrate_dde",
-    "resample",
 ]
 
 # Dormand-Prince 5(4) tableau. B propagates the 5th-order solution (FSAL:
@@ -59,6 +59,7 @@ _P = np.array(
         [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
     ]
 )
+_THETA_POWERS = np.arange(1.0, 5.0)[:, None]  # exponents 1..4 as a column
 
 _EPS = np.finfo(float).eps
 _SAFETY = 0.9
@@ -105,20 +106,24 @@ class IntegrationError(RuntimeError):
         self.t_reached = t_reached
 
 
-def _dense(times, states, coeffs, hs, t: float) -> np.ndarray:
-    """State at t (within times[0]..times[-1]) from stored accepted steps.
+def _dense(times, states, coeffs, hs, t) -> np.ndarray:
+    """State at t, or states at a 1-d array of instants t, from stored steps.
 
-    A stored instant returns a copy of its stored state exactly; anywhere
-    else the quartic continuous extension of the enclosing step is used.
+    Each instant is read off the quartic continuous extension of the step
+    that starts at or before it, so a stored instant sits at theta = 0 of
+    its own step and returns its stored state exactly. The last stored
+    instant has a zero step of unit length past it for that purpose.
+    Instants must lie within times[0]..times[-1].
     """
-    idx = int(np.searchsorted(times, t, side="left"))
-    if idx < len(times) and times[idx] == t:
-        return states[idx].copy()
-    step = idx - 1
+    t = np.asarray(t, dtype=float)
+    step = times.searchsorted(t, "right") - 1
     h = hs[step]
     theta = (t - times[step]) / h
-    powers = np.array([theta, theta**2, theta**3, theta**4])
-    return states[step] + h * (coeffs[step] @ powers)
+    # float_power calls the C library's pow on each element (power may use
+    # a vector pow with other rounding), and matmul runs one matrix-vector
+    # product per instant: an instant gets the same bits alone or in a batch.
+    powers = np.float_power(theta[..., None, None], _THETA_POWERS)
+    return states[step] + h[..., None] * (coeffs[step] @ powers)[..., 0]
 
 
 class Trajectory:
@@ -134,8 +139,8 @@ class Trajectory:
     def __init__(self, times, states, step_coeffs, step_sizes, events, status):
         self.times = times
         self.states = states
-        self._coeffs = step_coeffs      # (n_steps, dim, 4)
-        self._h = step_sizes            # (n_steps,)
+        self._coeffs = step_coeffs      # (n, dim, 4), last row zero
+        self._h = step_sizes            # (n,), last entry 1
         self.events = events
         self.status = status
 
@@ -143,16 +148,20 @@ class Trajectory:
     def t_end(self) -> float:
         return float(self.times[-1])
 
-    def evaluate(self, t: float) -> np.ndarray:
-        """Dense-output state at time t within the covered span."""
+    def evaluate(self, t) -> np.ndarray:
+        """Dense-output state at t, or states at a 1-d array of instants t.
+
+        Every instant must lie within the covered span.
+        """
         times = self.times
-        if not times[0] <= t <= times[-1]:
+        t = np.asarray(t, dtype=float)
+        inside = (times[0] <= t) & (t <= times[-1])
+        if not inside.all():
             raise ValueError(
-                f"t={t!r} outside the trajectory span [{times[0]!r}, {times[-1]!r}]"
+                f"t={float(t[~inside][0])!r} outside the trajectory span "
+                f"[{times[0]!r}, {times[-1]!r}]"
             )
         return _dense(times, self.states, self._coeffs, self._h, t)
-
-    __call__ = evaluate
 
 
 class _Builder:
@@ -160,7 +169,8 @@ class _Builder:
 
     Delay integration reads completed steps through ``evaluate`` while new
     ones are still being appended, so lookups are served from the same
-    arrays the final Trajectory will own.
+    arrays the final Trajectory will own. Step rows start as a zero step of
+    unit length, the one that follows the last stored instant.
     """
 
     def __init__(self, t0: float, y0: np.ndarray, max_steps: int):
@@ -168,8 +178,8 @@ class _Builder:
         cap = 512
         self.times = np.empty(cap)
         self.states = np.empty((cap, dim))
-        self.coeffs = np.empty((cap, dim, 4))
-        self.hs = np.empty(cap)
+        self.coeffs = np.zeros((cap, dim, 4))
+        self.hs = np.ones(cap)
         self.n = 1
         self.times[0] = t0
         self.states[0] = y0
@@ -180,8 +190,9 @@ class _Builder:
     def _grow(self):
         self.times = np.concatenate([self.times, np.empty(self.times.size)])
         self.states = np.vstack([self.states, np.empty_like(self.states)])
-        self.coeffs = np.concatenate([self.coeffs, np.empty_like(self.coeffs)])
-        self.hs = np.concatenate([self.hs, np.empty_like(self.hs)])
+        # np.zeros leaves the new pages untouched until they are written
+        self.coeffs = np.concatenate([self.coeffs, np.zeros(self.coeffs.shape)])
+        self.hs = np.concatenate([self.hs, np.ones_like(self.hs)])
 
     def append(self, t: float, y: np.ndarray, coeff: np.ndarray, h: float):
         if self.n == self.times.size:
@@ -212,8 +223,8 @@ class _Builder:
         return Trajectory(
             self.times[: self.n].copy(),
             self.states[: self.n].copy(),
-            self.coeffs[: self.n - 1].copy(),
-            self.hs[: self.n - 1].copy(),
+            self.coeffs[: self.n].copy(),
+            self.hs[: self.n].copy(),
             self.events,
             status,
         )
@@ -255,6 +266,12 @@ def _advance(f, builder, t_end, cfg, h_cap, terminal, domain_error, h_start):
     y = builder.y_last.copy()
     k = np.empty((7, y.size))
     k[0] = f(t, y)
+    if not (np.isfinite(y).all() and np.isfinite(k[0]).all()):
+        # It would give a NaN step size, which never falls below the floor,
+        # and be retried until the step budget ran out. Later steps start
+        # from accepted states: a non-finite stage makes the error norm
+        # non-finite, which rejects the step.
+        raise IntegrationError("non-finite state or derivative", t)
     h = h_start if h_start is not None else _initial_step(
         f, t, y, k[0], cfg.rel_tol, cfg.abs_tol, h_cap, dom
     )
@@ -336,6 +353,26 @@ class _DomainStop:
         return f"_DomainStop(t={self.t!r})"
 
 
+def _start(y0, t_span, cfg: IntegratorConfig | None, terminal):
+    """Start-up shared by both integrators.
+
+    Returns (cfg, builder, t_end, done): cfg with its default filled in, a
+    builder holding the initial state, and done, the finished Trajectory
+    when the terminal condition holds at t0 or the span is empty, else None.
+    """
+    cfg = cfg or IntegratorConfig()
+    t0, t_end = float(t_span[0]), float(t_span[1])
+    if t_end < t0:
+        raise ValueError("backward integration is not supported")
+    y0 = np.asarray(y0, dtype=float).copy()
+    builder = _Builder(t0, y0, cfg.max_steps)
+    event = terminal(t0, y0) if terminal is not None else None
+    if event is not None:
+        builder.events.append((t0, event))
+        return cfg, builder, t_end, builder.finish("terminated")
+    return cfg, builder, t_end, builder.finish("completed") if t_end == t0 else None
+
+
 def integrate_ode(f, y0, t_span, cfg: IntegratorConfig | None = None,
                   terminal=None, domain_error=None) -> Trajectory:
     """Integrate dy/dt = f(t, y) over t_span with adaptive RK 5(4).
@@ -348,19 +385,9 @@ def integrate_ode(f, y0, t_span, cfg: IntegratorConfig | None = None,
         and, if the violation persists down to a vanishing step, the run
         terminates with the exception recorded as an event.
     """
-    cfg = cfg or IntegratorConfig()
-    t0, t_end = float(t_span[0]), float(t_span[1])
-    if t_end < t0:
-        raise ValueError("backward integration is not supported")
-    y0 = np.asarray(y0, dtype=float).copy()
-    builder = _Builder(t0, y0, cfg.max_steps)
-    if terminal is not None:
-        event = terminal(t0, y0)
-        if event is not None:
-            builder.events.append((t0, event))
-            return builder.finish("terminated")
-    if t_end == t0:
-        return builder.finish("completed")
+    cfg, builder, t_end, done = _start(y0, t_span, cfg, terminal)
+    if done is not None:
+        return done
     status, _ = _advance(
         f, builder, t_end, cfg, cfg.h_max, terminal, domain_error, cfg.h_init
     )
@@ -382,19 +409,10 @@ def integrate_dde(f, history, tau: float, t_span,
     """
     if not tau > 0:
         raise ValueError("tau must be positive; use integrate_ode when there is no lag")
-    cfg = cfg or IntegratorConfig()
-    t0, t_end = float(t_span[0]), float(t_span[1])
-    if t_end < t0:
-        raise ValueError("backward integration is not supported")
-    y0 = np.asarray(history(t0), dtype=float).copy()
-    builder = _Builder(t0, y0, cfg.max_steps)
-    if terminal is not None:
-        event = terminal(t0, y0)
-        if event is not None:
-            builder.events.append((t0, event))
-            return builder.finish("terminated")
-    if t_end == t0:
-        return builder.finish("completed")
+    t0 = float(t_span[0])
+    cfg, builder, t_end, done = _start(history(t0), t_span, cfg, terminal)
+    if done is not None:
+        return done
 
     def past(s):
         if s <= t0:
@@ -417,27 +435,3 @@ def integrate_dde(f, history, tau: float, t_span,
                 return builder.finish("terminated")
         k += 1
     return builder.finish("completed")
-
-
-def resample(traj: Trajectory, hz: float) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform-rate series by linear interpolation between stored samples.
-
-    The grid starts at the trajectory's first instant and steps by 1/hz;
-    the final grid point never exceeds the trajectory end. Returns
-    (times, states) with states of shape (n_samples, dim).
-    """
-    if not hz > 0:
-        raise ValueError("sampling rate must be positive")
-    times = traj.times
-    if times.size == 0:
-        raise ValueError("cannot resample an empty trajectory")
-    t0, t1 = float(times[0]), float(times[-1])
-    n = int(math.floor((t1 - t0) * hz + 1e-9)) + 1
-    grid = t0 + np.arange(n) / hz
-    if n > 1:
-        grid[-1] = min(grid[-1], t1)
-    dim = traj.states.shape[1]
-    out = np.empty((n, dim))
-    for j in range(dim):
-        out[:, j] = np.interp(grid, times, traj.states[:, j])
-    return grid, out

@@ -19,14 +19,14 @@ with their leaders. Each derivative evaluation then calls the IDM law of
 :mod:`ringsim.models` once, on the arrays of the whole fleet, and the
 FollowerStopper law once per FollowerStopper vehicle, on scalars; its
 result replaces that vehicle's IDM value. The same leader index gives
-every gap: the collision check of the derivative, the terminal collision
-event and ``detect_events``.
+every gap: the collision check of the derivative and the terminal
+collision event.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -44,52 +44,25 @@ from .models import (
 
 __all__ = [
     "Collision",
-    "Stop",
-    "VehicleState",
-    "vehicle_states",
     "RingScenario",
     "RingSeries",
     "PRESET_NAMES",
     "build_uniform_scenario",
-    "gap",
     "initial_state",
     "apply_perturbation",
     "rhs",
-    "detect_events",
     "simulate",
     "sample",
     "equilibrium_scenario",
 ]
 
 PRESET_NAMES = ("idm", "idm_delayed", "mixed", "mixed_delayed")
-
-
-class VehicleState(NamedTuple):
-    """Position on the ring (m, wrapped to [0, L)) and speed (m/s, >= 0)."""
-
-    x: float
-    v: float
-
-
-def vehicle_states(z, length: float) -> list[VehicleState]:
-    """Per-vehicle view of a flat [x1, v1, ..., xN, vN] state vector."""
-    z = np.asarray(z, dtype=float)
-    return [
-        VehicleState(float(x % length), float(max(v, 0.0)))
-        for x, v in zip(z[0::2], z[1::2])
-    ]
+_SAMPLE_BLOCK = 4096  # instants per dense evaluation in ``sample``
 
 
 @dataclass(frozen=True)
 class Collision:
     """Two vehicles touched: the named vehicle's gap reached zero."""
-
-    vehicle: int
-
-
-@dataclass(frozen=True)
-class Stop:
-    """The named vehicle's speed fell below the stop threshold."""
 
     vehicle: int
 
@@ -122,6 +95,9 @@ class RingScenario:
         n = len(self.controllers)
         if n < 2:
             raise ValueError("a ring needs at least 2 vehicles")
+        for name in ("ring_length", "tau", "v_init", "perturb_amp", "t_end", "sample_hz"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.ring_length > 0:
             raise ValueError("ring_length must be positive")
         s0_max = max(
@@ -167,16 +143,6 @@ def build_uniform_scenario(preset: str, seed: int = 1) -> RingScenario:
         t_end=1500.0,
         sample_hz=30.0,
     )
-
-
-def gap(x_follower: float, x_leader: float, length: float) -> float:
-    """Circular forward distance from follower to leader, in [0, length).
-
-    A result of 0 means coincident positions, i.e. a collision state; the
-    degenerate reading "leader exactly one full lap ahead" cannot occur
-    with two or more vehicles on the ring.
-    """
-    return (x_leader - x_follower) % length
 
 
 def initial_state(scenario: RingScenario) -> np.ndarray:
@@ -290,19 +256,6 @@ def rhs(t, z, z_delayed, scenario: RingScenario) -> np.ndarray:
     return _deriv(z, zd, _Fleet(scenario))
 
 
-def detect_events(z, scenario: RingScenario, gap_min: float = 0.0,
-                  v_stop: float = 0.1) -> list[Collision | Stop]:
-    """Instantaneous collision and standstill checks on one state."""
-    z = np.asarray(z, dtype=float)
-    gaps = _Fleet(scenario).gaps(z[0::2])
-    events: list[Collision | Stop] = []
-    for i in np.nonzero(gaps <= gap_min)[0]:
-        events.append(Collision(int(i)))
-    for i in np.nonzero(z[1::2] < v_stop)[0]:
-        events.append(Stop(int(i)))
-    return events
-
-
 def simulate(scenario: RingScenario,
              cfg: integrators.IntegratorConfig | None = None,
              z0: np.ndarray | None = None) -> integrators.Trajectory:
@@ -377,8 +330,20 @@ class RingSeries:
 
 
 def sample(traj: integrators.Trajectory, scenario: RingScenario) -> RingSeries:
-    """Resample a trajectory at the scenario rate into a RingSeries."""
-    times, states = integrators.resample(traj, scenario.sample_hz)
+    """Sample a trajectory's dense output at the scenario rate into a RingSeries.
+
+    The grid starts at the trajectory's first instant and steps by
+    1/sample_hz; the final grid point never exceeds the trajectory end.
+    The grid is evaluated in blocks, which bounds the temporary arrays.
+    """
+    t0, t1 = float(traj.times[0]), traj.t_end
+    hz = scenario.sample_hz
+    n = int(math.floor((t1 - t0) * hz + 1e-9)) + 1
+    times = t0 + np.arange(n) / hz
+    times[-1] = min(times[-1], t1)
+    states = np.empty((n, traj.states.shape[1]))
+    for i in range(0, n, _SAMPLE_BLOCK):
+        states[i:i + _SAMPLE_BLOCK] = traj.evaluate(times[i:i + _SAMPLE_BLOCK])
     return RingSeries(
         times=times,
         positions=states[:, 0::2] % scenario.ring_length,

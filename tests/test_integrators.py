@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from ringsim import integrators
 from ringsim.integrators import (
     IntegrationError,
     IntegratorConfig,
-    Trajectory,
     integrate_dde,
     integrate_ode,
-    resample,
 )
 
 TIGHT = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, h_max=10.0)
@@ -99,12 +98,31 @@ class TestDenseOutput:
         for t in np.linspace(0.05, 1.95, 37):
             assert abs(traj.evaluate(t)[0] - math.exp(-t)) < 1e-7
 
+    def test_matches_step_quartic(self):
+        # reference: the quartic of the enclosing step, with the powers of
+        # theta taken one by one on Python floats. On y = t^4 the last bit
+        # of a power reaches the state at a few of these instants.
+        traj = integrate_ode(lambda t, y: 4 * t**3, [0.0], (0.0, 5.0),
+                             IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9))
+        instants = np.random.default_rng(3).uniform(0.0, 5.0, 3000)
+        expected = []
+        for t in instants:
+            i = int(np.searchsorted(traj.times, t, side="right")) - 1
+            h = traj._h[i]
+            theta = float((t - traj.times[i]) / h)
+            powers = np.array([theta, theta**2, theta**3, theta**4])
+            expected.append(traj.states[i] + h * (traj._coeffs[i] @ powers))
+            assert np.array_equal(traj.evaluate(t), expected[-1])
+        assert np.array_equal(traj.evaluate(instants), expected)
+
     def test_outside_span_rejected(self):
         traj = integrate_ode(decay, [1.0], (0.0, 1.0))
         with pytest.raises(ValueError):
             traj.evaluate(1.5)
         with pytest.raises(ValueError):
             traj.evaluate(-0.1)
+        with pytest.raises(ValueError):
+            traj.evaluate(np.array([0.5, 1.5]))
 
 
 class TestStepControl:
@@ -124,6 +142,12 @@ class TestStepControl:
         cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, h_max=1e-4, max_steps=50)
         with pytest.raises(IntegrationError, match="budget"):
             integrate_ode(decay, [1.0], (0.0, 10.0), cfg)
+
+    def test_non_finite_state_fails_fast(self):
+        # a NaN state gives a NaN step size, which no step-size floor catches
+        cfg = IntegratorConfig(max_steps=5000)
+        with pytest.raises(IntegrationError, match=r"non-finite state .*\(at t=0\)"):
+            integrate_ode(decay, [math.nan], (0.0, 1.0), cfg)
 
     def test_zero_span(self):
         traj = integrate_ode(decay, [1.0], (0.0, 0.0))
@@ -229,56 +253,28 @@ class TestDde:
         with pytest.raises(ValueError):
             integrate_dde(dde_rhs, lambda t: [1.0], 0.0, (0.0, 1.0))
 
+    def test_lookups_return_stored_states_exactly(self, monkeypatch):
+        # every stored instant sits at theta = 0 of its own step; the newest
+        # one is served by the zero step stored past it
+        builders = []
+        append = integrators._Builder.append
+
+        def checked_append(builder, t, y, coeff, h):
+            append(builder, t, y, coeff, h)
+            assert np.array_equal(builder.evaluate(t), y)
+            if not builders:
+                builders.append(builder)
+
+        monkeypatch.setattr(integrators._Builder, "append", checked_append)
+        cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, h_max=0.1)
+        integrate_dde(dde_rhs, lambda t: [1.0, 0.5], 0.3, (0.0, 60.0), cfg)
+        (builder,) = builders
+        assert builder.n > 512  # outgrew the storage the builder starts with
+        for i in range(builder.n):
+            t = float(builder.times[i])
+            assert np.array_equal(builder.evaluate(t), builder.states[i])
+
     def test_initial_state_from_history(self):
         traj = integrate_dde(dde_rhs, lambda t: [2.5], 1.0, (0.0, 0.0))
         assert traj.states[0, 0] == 2.5
 
-
-class TestResample:
-    def _make_traj(self, times, values):
-        times = np.asarray(times, float)
-        states = np.asarray(values, float).reshape(len(times), -1)
-        n = len(times)
-        return Trajectory(times, states, np.zeros((n - 1, states.shape[1], 4)),
-                          np.diff(times), [], "completed")
-
-    def test_identity_on_matching_grid(self):
-        times = np.arange(11) / 5.0
-        vals = np.sin(times)
-        traj = self._make_traj(times, vals)
-        grid, out = resample(traj, 5.0)
-        assert np.array_equal(grid, times)
-        assert np.array_equal(out[:, 0], vals)
-
-    def test_linear_between_two_samples(self):
-        traj = self._make_traj([0.0, 1.0], [0.0, 10.0])
-        grid, out = resample(traj, 2.0)
-        assert np.allclose(grid, [0.0, 0.5, 1.0])
-        assert np.allclose(out[:, 0], [0.0, 5.0, 10.0])
-
-    def test_ramp_reproduced_exactly(self):
-        # linear signals survive linear interpolation regardless of the grid
-        rng = np.random.default_rng(7)
-        times = np.concatenate([[0.0], np.sort(rng.uniform(0.01, 1.99, 40)), [2.0]])
-        traj = self._make_traj(times, 3.0 * times - 1.0)
-        grid, out = resample(traj, 30.0)
-        assert np.allclose(out[:, 0], 3.0 * grid - 1.0, atol=1e-12)
-
-    def test_final_point_within_span(self):
-        traj = self._make_traj([0.0, 0.95], [0.0, 1.0])
-        grid, _ = resample(traj, 2.0)
-        assert grid[-1] <= 0.95
-
-    def test_single_sample(self):
-        traj = self._make_traj([0.0], [4.0])
-        # degenerate one-point trajectory: grid is just the start instant
-        traj2 = Trajectory(np.array([0.0]), np.array([[4.0]]),
-                           np.zeros((0, 1, 4)), np.zeros(0), [], "completed")
-        grid, out = resample(traj2, 30.0)
-        assert grid.shape == (1,)
-        assert out[0, 0] == 4.0
-
-    def test_bad_rate(self):
-        traj = self._make_traj([0.0, 1.0], [0.0, 1.0])
-        with pytest.raises(ValueError):
-            resample(traj, 0.0)

@@ -3,7 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ringsim.integrators import IntegratorConfig
+from ringsim import ring
+from ringsim.integrators import IntegratorConfig, integrate_ode
 from ringsim.models import (
     CollisionError,
     FsParams,
@@ -16,37 +17,16 @@ from ringsim.models import (
 from ringsim.ring import (
     Collision,
     RingScenario,
-    Stop,
-    VehicleState,
     apply_perturbation,
     build_uniform_scenario,
-    detect_events,
     equilibrium_scenario,
-    gap,
     initial_state,
     rhs,
     sample,
     simulate,
-    vehicle_states,
 )
 
 TIGHT = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12)
-
-
-class TestGap:
-    def test_simple(self):
-        assert gap(0.0, 10.0, 100.0) == 10.0
-
-    def test_wraparound(self):
-        assert gap(95.0, 5.0, 100.0) == 10.0
-
-    def test_coincident_positions_flagged_as_collision(self):
-        assert gap(10.0, 10.0, 100.0) == 0.0
-        sc = build_uniform_scenario("idm")
-        z = initial_state(sc)
-        z[2] = z[0]  # vehicle 1 on top of vehicle 0
-        events = detect_events(z, sc)
-        assert any(isinstance(e, Collision) for e in events)
 
 
 class TestPresets:
@@ -93,16 +73,13 @@ class TestPresets:
         with pytest.raises(ValueError):
             RingScenario(ring_length=100.0, controllers=(idm, idm), tau=-1.0)
 
-
-class TestVehicleStates:
-    def test_bijective_with_state_vector(self):
-        z = np.array([0.0, 5.0, 190.0, 3.0, -10.0, -0.5])
-        states = vehicle_states(z, 100.0)
-        assert states == [
-            VehicleState(0.0, 5.0),
-            VehicleState(90.0, 3.0),   # wrapped
-            VehicleState(90.0, 0.0),   # wrapped and clamped
-        ]
+    @pytest.mark.parametrize(
+        "field", ["ring_length", "tau", "v_init", "perturb_amp", "t_end", "sample_hz"])
+    def test_non_finite_field_rejected(self, field):
+        # an infinite ring gives NaN initial positions
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            RingScenario(**{"ring_length": 100.0, "controllers": (IdmParams(),) * 2,
+                            field: np.inf})
 
 
 class TestPerturbation:
@@ -294,25 +271,6 @@ class TestRhsMatchesScalarOracle:
         np.testing.assert_allclose(dz, oracle_rhs(z_now, z_then, sc), rtol=1e-13, atol=1e-15)
 
 
-class TestDetectEvents:
-    def test_uniform_flow_quiet(self):
-        sc = build_uniform_scenario("idm")
-        assert detect_events(initial_state(sc), sc) == []
-
-    def test_stop_event(self):
-        sc = build_uniform_scenario("idm")
-        z = initial_state(sc)
-        z[5] = 0.05
-        events = detect_events(z, sc)
-        assert Stop(2) in events
-
-    def test_stop_threshold_configurable(self):
-        sc = build_uniform_scenario("idm")
-        z = initial_state(sc)
-        z[5] = 0.05
-        assert detect_events(z, sc, v_stop=0.01) == []
-
-
 class TestSimulate:
     def test_gap_conservation(self):
         sc = replace(build_uniform_scenario("idm"), t_end=20.0)
@@ -385,6 +343,23 @@ class TestSimulate:
         traj = simulate(sc)
         assert traj.status == "completed"
         assert traj.times.shape == (1,)
+        series = sample(traj, sc)
+        z0 = apply_perturbation(initial_state(sc), sc.perturb_amp, sc.seed)
+        assert np.array_equal(series.times, [0.0])
+        assert np.array_equal(series.positions, [z0[0::2]])
+        assert np.array_equal(series.velocities, [z0[1::2]])
+
+    @pytest.mark.parametrize("lap", [0.0, 100.0])
+    def test_coincident_start_terminates_at_t0(self, lap):
+        # vehicle 1 on top of its leader, vehicle 0: at the same position,
+        # and one lap on, across the wrap point
+        sc = build_uniform_scenario("idm")
+        z0 = initial_state(sc)
+        z0[2] = z0[0] + lap
+        traj = simulate(sc, z0=z0)
+        assert traj.status == "terminated"
+        assert traj.times.shape == (1,)
+        assert traj.events == [(0.0, Collision(1))]
 
 
 class TestRingSeries:
@@ -398,10 +373,39 @@ class TestRingSeries:
         assert series.times[-1] == pytest.approx(20.0, abs=1e-9)
         assert len(series.times) == 601  # 30 Hz for 20 s inclusive
 
+    def test_grid_ends_within_span(self):
+        # t_end * sample_hz lies within 1e-9 of 600, so the grid has 601
+        # points, and point 600 at 20 s would lie past the trajectory end
+        sc = replace(build_uniform_scenario("idm"), t_end=np.nextafter(20.0, 0.0))
+        traj = simulate(sc, TIGHT)
+        series = sample(traj, sc)
+        assert len(series.times) == 601
+        assert series.times[-1] == traj.t_end
+
     def test_gap_sums_to_ring_length(self):
         sc = replace(build_uniform_scenario("idm"), t_end=10.0)
         series = sample(simulate(sc, TIGHT), sc)
         assert np.allclose(series.gaps().sum(axis=1), 100.0, rtol=1e-9)
+
+    def test_rows_equal_dense_output(self, monkeypatch):
+        # 1801 instants in blocks of 7, the last one partial
+        monkeypatch.setattr(ring, "_SAMPLE_BLOCK", 7)
+        sc = replace(build_uniform_scenario("mixed_delayed"), t_end=60.0)
+        traj = simulate(sc)
+        series = sample(traj, sc)
+        states = np.array([traj.evaluate(t) for t in series.times])
+        assert np.array_equal(series.positions, states[:, 0::2] % sc.ring_length)
+        assert np.array_equal(series.velocities, np.maximum(states[:, 1::2], 0.0))
+
+    def test_quartic_reproduced(self):
+        # y' = 4 t^3 is solved by t^4, which the quartic continuous extension
+        # of each step reproduces between the step endpoints
+        sc = RingScenario(ring_length=100.0, controllers=(IdmParams(),) * 2,
+                          t_end=2.0, sample_hz=30.0)
+        traj = integrate_ode(lambda t, y: np.array([4 * t**3, 0.0] * 2),
+                             np.zeros(4), (0.0, sc.t_end))
+        series = sample(traj, sc)
+        assert np.max(np.abs(series.positions - series.times[:, None] ** 4)) < 1e-12
 
     def test_window(self):
         sc = replace(build_uniform_scenario("idm"), t_end=10.0)
