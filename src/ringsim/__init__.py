@@ -28,7 +28,6 @@ from .integrators import (
     integrate_ode,
 )
 from .ring import (
-    Collision,
     PRESET_NAMES,
     RingScenario,
     RingSeries,

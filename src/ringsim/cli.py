@@ -308,9 +308,8 @@ def write_artifacts(out_dir: str, cfg: RunConfig, traj, series) -> dict:
         fh.write("t_s,event,vehicle\n")
         for t, veh in events:
             fh.write(f"{t:.17g},stop,{veh}\n")
-        for t, payload in traj.events:
-            veh = getattr(payload, "vehicle", "")
-            fh.write(f"{t:.17g},collision,{veh}\n")
+        for t, exc in traj.events:
+            fh.write(f"{t:.17g},collision,{exc.vehicle}\n")
 
     _write_json(os.path.join(out_dir, "manifest.json"), _manifest(cfg))
     return stats
@@ -348,7 +347,7 @@ def compute_stats(cfg: RunConfig, traj, series) -> dict:
         lyap_error = str(exc)
 
     collision = traj.status == "terminated"
-    collision_time = traj.events[-1][0] if collision and traj.events else None
+    collision_time = traj.events[-1][0] if collision else None
     stats = {
         "status": traj.status,
         "collision": collision,

@@ -28,9 +28,9 @@ __all__ = [
     "integrate_dde",
 ]
 
-# Dormand-Prince 5(4) tableau. B propagates the 5th-order solution (FSAL:
-# the last stage equals the derivative at the accepted point), E = B - Bhat
-# gives the embedded error weights.
+# Dormand-Prince 5(4) tableau. The last stage is evaluated at the 5th-order
+# solution, A[6] = B (FSAL: it is the derivative at the accepted point), and
+# E = B - Bhat gives the embedded error weights.
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
 _A = [
     np.array([]),
@@ -41,7 +41,6 @@ _A = [
     np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
     np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
 ]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _E = np.array(
     [71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40]
 )
@@ -131,9 +130,10 @@ class Trajectory:
 
     times, states hold every accepted step endpoint (including the initial
     state). ``evaluate`` interpolates anywhere in the covered span and
-    returns stored states exactly at stored instants. ``events`` is a list
-    of (time, payload) pairs recorded by terminal conditions; ``status`` is
-    "completed" for a full span or "terminated" when an event stopped it.
+    returns stored states exactly at stored instants. ``status`` is
+    "completed" for a full span or "terminated" when a domain error stopped
+    the run; ``events`` then holds one (time, exception) pair, the time
+    being that of the last accepted state.
     """
 
     def __init__(self, times, states, step_coeffs, step_sizes, events, status):
@@ -213,9 +213,13 @@ class _Builder:
 
     def evaluate(self, t: float) -> np.ndarray:
         # Causality guard: delayed lookups must never target uncomputed
-        # solution. The method-of-steps interval layout makes this
-        # impossible; failing here is an internal logic error.
-        if t > self.t_last:
+        # solution. The method-of-steps interval layout keeps them at or
+        # before the last instant, up to the rounding of t + h - tau (below
+        # 16 eps of the instants' magnitude); the zero step past the last
+        # instant gives its stored state. Failing here is an internal logic
+        # error.
+        t_last = self.t_last
+        if t > t_last and t - t_last > 16 * _EPS * max(abs(self.times[0]), abs(t_last)):
             raise AssertionError(f"lookup at t={t!r} beyond computed solution")
         return _dense(self.times[: self.n], self.states, self.coeffs, self.hs, t)
 
@@ -254,18 +258,21 @@ def _initial_step(f, t0, y0, f0, rel_tol, abs_tol, h_cap, dom=()):
     return min(100 * h0, h1, h_cap)
 
 
-def _advance(f, builder, t_end, cfg, h_cap, terminal, domain_error, h_start):
+def _advance(f, builder, t_end, cfg, h_cap, dom, h_start):
     """Step from the builder's last state up to t_end.
 
-    Returns (status, h_next): status "reached" when t_end was hit,
-    "terminated" when the terminal condition fired or the right-hand side
-    kept signalling a domain violation down to a vanishing step.
+    Returns (status, h_next): status "completed" when t_end was hit,
+    "terminated" when f raised the domain error dom at the start state or
+    down to a vanishing step; the builder's events then hold that error.
     """
-    dom = domain_error if domain_error is not None else ()
     t = builder.t_last
     y = builder.y_last.copy()
     k = np.empty((7, y.size))
-    k[0] = f(t, y)
+    try:
+        k[0] = f(t, y)
+    except dom as exc:
+        builder.events.append((t, exc))
+        return "terminated", h_start
     if not (np.isfinite(y).all() and np.isfinite(k[0]).all()):
         # It would give a NaN step size, which never falls below the floor,
         # and be retried until the step budget ran out. Later steps start
@@ -275,17 +282,16 @@ def _advance(f, builder, t_end, cfg, h_cap, terminal, domain_error, h_start):
     h = h_start if h_start is not None else _initial_step(
         f, t, y, k[0], cfg.rel_tol, cfg.abs_tol, h_cap, dom
     )
-    h = min(h, h_cap, t_end - t)
     err_prev = 1e-4
     just_rejected = False
-    domain_retries = 0
+    domain_exc = None  # the last domain error since the last accepted step
 
     while t < t_end:
         h = min(h, h_cap, t_end - t)
         h_floor = 16 * _EPS * max(abs(t), abs(t_end))
         if h < h_floor:
-            if domain_retries:
-                builder.events.append((t, _DomainStop(t)))
+            if domain_exc is not None:
+                builder.events.append((t, domain_exc))
                 return "terminated", h
             raise IntegrationError(
                 "step size underflow; right-hand side too stiff or discontinuous", t
@@ -294,18 +300,16 @@ def _advance(f, builder, t_end, cfg, h_cap, terminal, domain_error, h_start):
         if builder.attempts > builder.max_steps:
             raise IntegrationError("step budget exhausted", t)
         try:
+            # the last stage's state is the accepted state, so every
+            # accepted state has passed f's domain check
             for i in range(1, 7):
-                k[i] = f(t + _C[i] * h, y + h * (_A[i] @ k[:i]))
+                y1 = y + h * (_A[i] @ k[:i])
+                k[i] = f(t + _C[i] * h, y1)
         except dom as exc:
             h *= 0.5
-            domain_retries += 1
+            domain_exc = exc
             just_rejected = True
-            if domain_retries > 200:
-                builder.events.append((t, exc))
-                return "terminated", h
             continue
-        domain_retries = 0
-        y1 = y + h * (_B @ k)
         err = _error_norm(h * (_E @ k), y, y1, cfg.rel_tol, cfg.abs_tol)
         if not np.isfinite(err):
             # Overflow or NaN in a stage: treat as a hard rejection.
@@ -317,16 +321,12 @@ def _advance(f, builder, t_end, cfg, h_cap, terminal, domain_error, h_start):
             just_rejected = True
             continue
         # accepted
+        domain_exc = None
         coeff = k.T @ _P
         t_new = t + h
         if t_end - t_new < h_floor:
             t_new = t_end
         builder.append(t_new, y1, coeff, h)
-        if terminal is not None:
-            event = terminal(t_new, y1)
-            if event is not None:
-                builder.events.append((t_new, event))
-                return "terminated", h
         if err == 0.0:
             factor = _MAX_FACTOR
         else:
@@ -340,25 +340,15 @@ def _advance(f, builder, t_end, cfg, h_cap, terminal, domain_error, h_start):
         y = y1
         k[0] = k[6]  # FSAL
         h *= factor
-    return "reached", h
+    return "completed", h
 
 
-class _DomainStop:
-    """Event payload recorded when domain violations force termination."""
-
-    def __init__(self, t: float):
-        self.t = t
-
-    def __repr__(self):
-        return f"_DomainStop(t={self.t!r})"
-
-
-def _start(y0, t_span, cfg: IntegratorConfig | None, terminal):
+def _start(y0, t_span, cfg: IntegratorConfig | None):
     """Start-up shared by both integrators.
 
     Returns (cfg, builder, t_end, done): cfg with its default filled in, a
     builder holding the initial state, and done, the finished Trajectory
-    when the terminal condition holds at t0 or the span is empty, else None.
+    when the span is empty, else None. An empty span evaluates nothing.
     """
     cfg = cfg or IntegratorConfig()
     t0, t_end = float(t_span[0]), float(t_span[1])
@@ -366,37 +356,29 @@ def _start(y0, t_span, cfg: IntegratorConfig | None, terminal):
         raise ValueError("backward integration is not supported")
     y0 = np.asarray(y0, dtype=float).copy()
     builder = _Builder(t0, y0, cfg.max_steps)
-    event = terminal(t0, y0) if terminal is not None else None
-    if event is not None:
-        builder.events.append((t0, event))
-        return cfg, builder, t_end, builder.finish("terminated")
     return cfg, builder, t_end, builder.finish("completed") if t_end == t0 else None
 
 
 def integrate_ode(f, y0, t_span, cfg: IntegratorConfig | None = None,
-                  terminal=None, domain_error=None) -> Trajectory:
+                  domain_error=()) -> Trajectory:
     """Integrate dy/dt = f(t, y) over t_span with adaptive RK 5(4).
 
-    terminal : optional callable (t, y) -> event payload or None, checked
-        at the initial state and after every accepted step; a non-None
-        result stops the run with status "terminated".
-    domain_error : optional exception type (or tuple) that f may raise for
-        states outside its domain; such steps are retried with smaller h
-        and, if the violation persists down to a vanishing step, the run
-        terminates with the exception recorded as an event.
+    domain_error : exception type (or tuple) that f may raise for states
+        outside its domain. A step whose stages raise it is retried at half
+        the size. The run ends "terminated", with the last such exception
+        as its event, when y0 raises it or the step falls below its floor
+        before another step is accepted.
     """
-    cfg, builder, t_end, done = _start(y0, t_span, cfg, terminal)
+    cfg, builder, t_end, done = _start(y0, t_span, cfg)
     if done is not None:
         return done
-    status, _ = _advance(
-        f, builder, t_end, cfg, cfg.h_max, terminal, domain_error, cfg.h_init
-    )
-    return builder.finish("completed" if status == "reached" else "terminated")
+    status, _ = _advance(f, builder, t_end, cfg, cfg.h_max, domain_error, cfg.h_init)
+    return builder.finish(status)
 
 
 def integrate_dde(f, history, tau: float, t_span,
                   cfg: IntegratorConfig | None = None,
-                  terminal=None, domain_error=None) -> Trajectory:
+                  domain_error=()) -> Trajectory:
     """Integrate dy/dt = f(t, y, y(t - tau)) by the method of steps.
 
     history : callable t -> state for t <= t0; the initial state is
@@ -406,11 +388,12 @@ def integrate_dde(f, history, tau: float, t_span,
     at every breakpoint t0 + k*tau (where the solution's derivative may be
     discontinuous). Steps never cross the current interval boundary, so a
     delayed lookup always lands in history or in already-completed steps.
+    domain_error is handled as in :func:`integrate_ode`.
     """
     if not tau > 0:
         raise ValueError("tau must be positive; use integrate_ode when there is no lag")
     t0 = float(t_span[0])
-    cfg, builder, t_end, done = _start(history(t0), t_span, cfg, terminal)
+    cfg, builder, t_end, done = _start(history(t0), t_span, cfg)
     if done is not None:
         return done
 
@@ -423,15 +406,10 @@ def integrate_dde(f, history, tau: float, t_span,
         return f(t, y, past(t - tau))
 
     h_cap = min(cfg.h_max, tau)
-    h_next = cfg.h_init
-    k = 1
-    while builder.t_last < t_end:
+    status, h_next, k = "completed", cfg.h_init, 1
+    while status == "completed" and builder.t_last < t_end:
         stop = min(t0 + k * tau, t_end)
         if stop > builder.t_last:
-            status, h_next = _advance(
-                g, builder, stop, cfg, h_cap, terminal, domain_error, h_next
-            )
-            if status == "terminated":
-                return builder.finish("terminated")
+            status, h_next = _advance(g, builder, stop, cfg, h_cap, domain_error, h_next)
         k += 1
-    return builder.finish("completed")
+    return builder.finish(status)

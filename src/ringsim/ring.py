@@ -1,10 +1,11 @@
 """Ring-road fleet assembly.
 
 The fleet state is a flat vector [x1, v1, x2, v2, ..., xN, vN]. Vehicle i
-follows vehicle i-1 (vehicle 0 follows vehicle N-1); gaps are circular
-forward distances on a ring of length L. Positions are integrated
-unwrapped (monotone) and reduced modulo L wherever geometry or output
-needs them.
+follows vehicle i-1 (vehicle 0 follows vehicle N-1) on a ring of length L.
+Positions are integrated unwrapped. ``simulate`` adds a lap offset, fixed
+from the start state, to each position difference, so a vehicle that
+drives through its leader gets a negative gap; ``rhs`` and the sampled
+series work modulo L.
 
 IDM vehicles receive their inputs (gap, own speed, approach rate) from the
 state at t - tau when a reaction delay is configured; their approach rate
@@ -18,9 +19,9 @@ IDM coefficient columns of every vehicle and the FollowerStopper vehicles
 with their leaders. Each derivative evaluation then calls the IDM law of
 :mod:`ringsim.models` once, on the arrays of the whole fleet, and the
 FollowerStopper law once per FollowerStopper vehicle, on scalars; its
-result replaces that vehicle's IDM value. The same leader index gives
-every gap: the collision check of the derivative and the terminal
-collision event.
+result replaces that vehicle's IDM value. The derivative is the one
+collision check: it raises ``CollisionError`` naming the first vehicle
+whose current gap, or delayed gap if it is an IDM vehicle, is nonpositive.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .models import (
 )
 
 __all__ = [
-    "Collision",
     "RingScenario",
     "RingSeries",
     "PRESET_NAMES",
@@ -58,13 +58,6 @@ __all__ = [
 
 PRESET_NAMES = ("idm", "idm_delayed", "mixed", "mixed_delayed")
 _SAMPLE_BLOCK = 4096  # instants per dense evaluation in ``sample``
-
-
-@dataclass(frozen=True)
-class Collision:
-    """Two vehicles touched: the named vehicle's gap reached zero."""
-
-    vehicle: int
 
 
 @dataclass(frozen=True)
@@ -182,9 +175,11 @@ class _Fleet:
         vehicle carries the default IdmParams, and its IDM value is
         replaced by its own law
     fs : (vehicle, leader, FsParams) of each FollowerStopper vehicle
+    laps : lap offset of each vehicle's gap, fixed from the start state z0;
+        None without z0, which takes every gap modulo L
     """
 
-    def __init__(self, scenario: RingScenario):
+    def __init__(self, scenario: RingScenario, z0: np.ndarray | None = None):
         n = scenario.n_vehicles
         self.length = scenario.ring_length
         self.leaders = (np.arange(n) - 1) % n
@@ -193,25 +188,21 @@ class _Fleet:
             [p if isinstance(p, IdmParams) else IdmParams() for p in params])
         self.fs = [(i, int(self.leaders[i]), p) for i, p in enumerate(params)
                    if isinstance(p, FsParams)]
+        self.laps = None
+        if z0 is not None:
+            x = z0[0::2]
+            self.laps = -self.length * np.floor((x[self.leaders] - x) / self.length)
 
     def gaps(self, x: np.ndarray) -> np.ndarray:
-        """Circular forward gap of every vehicle to its leader."""
-        return (x[self.leaders] - x) % self.length
-
-    def collision(self, t: float, z: np.ndarray) -> Collision | None:
-        """Terminal condition: the first vehicle with a nonpositive gap."""
-        hit = np.flatnonzero(self.gaps(z[0::2]) <= 0.0)
-        return Collision(int(hit[0])) if hit.size else None
+        """Forward gap of every vehicle to its leader."""
+        d = x[self.leaders] - x
+        return d % self.length if self.laps is None else d + self.laps
 
 
 def _deriv(z: np.ndarray, z_delayed: np.ndarray, fleet: _Fleet) -> np.ndarray:
     x = z[0::2]
     v = z[1::2]
     gaps_now = fleet.gaps(x)
-    touching = gaps_now <= 0.0
-    if np.count_nonzero(touching):
-        i = int(np.argmax(touching))
-        raise CollisionError(f"vehicle {i} has zero gap to its leader", vehicle=i)
     if z_delayed is z:
         vd = np.maximum(v, 0.0)
         gaps_d = gaps_now
@@ -222,6 +213,10 @@ def _deriv(z: np.ndarray, z_delayed: np.ndarray, fleet: _Fleet) -> np.ndarray:
             # FollowerStopper vehicles act on the current state: only IDM
             # vehicles may fail the delayed-gap check
             gaps_d[i] = gaps_now[i]
+    hit = np.minimum(gaps_now, gaps_d) <= 0.0
+    if np.count_nonzero(hit):
+        i = int(np.argmax(hit))
+        raise CollisionError(f"vehicle {i} has a nonpositive gap to its leader", vehicle=i)
 
     out = np.empty_like(z)
     out[0::2] = v
@@ -249,7 +244,8 @@ def rhs(t, z, z_delayed, scenario: RingScenario) -> np.ndarray:
     controllers are clamped at zero, and a vehicle at standstill is never
     given a negative acceleration.
 
-    Raises CollisionError as soon as any gap is nonpositive.
+    Gaps are taken modulo L. Raises CollisionError when a current gap, or
+    the delayed gap of an IDM vehicle, is nonpositive.
     """
     z = np.asarray(z, dtype=float)
     zd = np.asarray(z_delayed, dtype=float) if scenario.tau > 0 else z
@@ -264,8 +260,8 @@ def simulate(scenario: RingScenario,
     The initial state is the equally spaced fleet with the scenario's
     perturbation applied (or the explicit z0 override). The delay path is
     taken exactly when tau > 0, with the perturbed initial state held
-    constant as history. Collisions terminate the run and are recorded as
-    trajectory events.
+    constant as history. A collision ends the run "terminated", with its
+    CollisionError as the event.
     """
     if z0 is None:
         z0 = apply_perturbation(
@@ -273,7 +269,7 @@ def simulate(scenario: RingScenario,
         )
     else:
         z0 = np.asarray(z0, dtype=float).copy()
-    fleet = _Fleet(scenario)
+    fleet = _Fleet(scenario, z0)
     if scenario.tau > 0:
         return integrators.integrate_dde(
             lambda t, z, zlag: _deriv(z, zlag, fleet),
@@ -281,7 +277,6 @@ def simulate(scenario: RingScenario,
             tau=scenario.tau,
             t_span=(0.0, scenario.t_end),
             cfg=cfg,
-            terminal=fleet.collision,
             domain_error=CollisionError,
         )
     return integrators.integrate_ode(
@@ -289,7 +284,6 @@ def simulate(scenario: RingScenario,
         z0,
         (0.0, scenario.t_end),
         cfg=cfg,
-        terminal=fleet.collision,
         domain_error=CollisionError,
     )
 

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ringsim.ring
 from ringsim import cli
 from ringsim.analysis import fundamental_diagram
 from ringsim.integrators import IntegratorConfig
@@ -334,23 +333,29 @@ class TestConfigEcho:
 
 
 class TestFailureExitCodes:
-    def test_collision_exit_code(self, tmp_path, monkeypatch):
-        real_simulate = ringsim.ring.simulate
-
-        def collide(scenario, cfg=None, z0=None):
-            traj = real_simulate(scenario, cfg, z0)
-            traj.status = "terminated"
-            traj.events.append((float(traj.times[-1]), ringsim.ring.Collision(3)))
-            return traj
-
-        monkeypatch.setattr(cli.ring, "simulate", collide)
+    def test_collision_exit_code(self, tmp_path):
+        # the FollowerStopper vehicle tracks 20 m/s too slowly to stop
+        # behind its leader, which wants 2 m/s
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"scenario": {
+            "ring_length": 60, "v_init": 15, "t_end": 60,
+            "vehicles": [{"controller": "fs", "r": 20, "k_track": 0.1},
+                         {"controller": "idm", "v0": 2}],
+        }}))
         out = tmp_path / "out"
-        code = run_cli("run", "--preset", "idm", "--t-end", "4", "-o", str(out))
+        code = run_cli("run", "--config", str(path), "-o", str(out))
         assert code == cli.EXIT_COLLISION
         stats = json.loads((out / "stats.json").read_text())
         assert stats["collision"] is True
-        events = (out / "events.csv").read_text()
-        assert "collision,3" in events
+        assert stats["collision_time_s"] == pytest.approx(2.806, abs=1e-3)
+        last = (out / "events.csv").read_text().splitlines()[-1]
+        assert re.fullmatch(r"[0-9.e+-]+,collision,0", last)
+
+    def test_lag_not_above_step_cap_exit_code(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(
+            {"scenario": {"preset": "idm_delayed", "tau": 0.1, "t_end": 5}}))
+        assert run_cli("run", "--config", str(path), "-o", str(tmp_path / "out")) == 0
 
     def test_solver_failure_exit_code(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -165,25 +165,6 @@ class _Boom(ValueError):
 
 
 class TestTerminalAndDomain:
-    def test_terminal_event_stops_run(self):
-        def terminal(t, y):
-            return "crossed" if y[0] >= 2.0 else None
-
-        traj = integrate_ode(lambda t, y: np.ones(1), [0.0], (0.0, 10.0),
-                             IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9, h_max=0.25),
-                             terminal=terminal)
-        assert traj.status == "terminated"
-        t_ev, payload = traj.events[-1]
-        assert payload == "crossed"
-        assert 2.0 <= traj.states[-1, 0] <= 2.3
-        assert t_ev == traj.times[-1]
-
-    def test_terminal_at_initial_state(self):
-        traj = integrate_ode(lambda t, y: np.ones(1), [5.0], (0.0, 10.0),
-                             terminal=lambda t, y: "already" if y[0] > 4 else None)
-        assert traj.status == "terminated"
-        assert traj.times.shape == (1,)
-
     def test_domain_error_terminates_near_boundary(self):
         def f(t, y):
             if y[0] > 2.0:
@@ -196,7 +177,44 @@ class TestTerminalAndDomain:
         assert traj.status == "terminated"
         assert traj.states[-1, 0] <= 2.0
         assert traj.states[-1, 0] > 1.9
-        assert traj.events, "termination must record an event"
+        ((t_ev, exc),) = traj.events
+        assert t_ev == traj.times[-1]
+        assert isinstance(exc, _Boom)
+
+    @pytest.mark.parametrize("delayed", [False, True])
+    def test_domain_error_at_start_terminates_at_t0(self, delayed):
+        def f(t, y, ylag=None):
+            raise _Boom("outside")
+
+        if delayed:
+            traj = integrate_dde(f, lambda t: [5.0], 1.0, (0.0, 10.0), domain_error=_Boom)
+        else:
+            traj = integrate_ode(f, [5.0], (0.0, 10.0), domain_error=_Boom)
+        assert traj.status == "terminated"
+        assert traj.times.shape == (1,)
+        ((t_ev, exc),) = traj.events
+        assert t_ev == 0.0
+        assert isinstance(exc, _Boom)
+
+    def test_domain_errors_interleaved_with_rejections_terminate(self):
+        # y[1] jumps by 1e15 per second once y[0] reaches 1, and y[0] leaves
+        # the domain 1e-14 further on, just above the step-size floor. Near
+        # the boundary, a step that crosses both raises the domain error;
+        # a shorter one crosses only the jump and fails the error test, down
+        # to the floor. The domain error since the last accepted step must
+        # still end the run.
+        def f(t, y):
+            if y[0] >= 1.0 + 1e-14:
+                raise _Boom("outside")
+            return np.array([1.0, 1e15 if y[0] >= 1.0 else 0.0])
+
+        traj = integrate_ode(f, [0.0, 0.0], (0.0, 2.0), domain_error=_Boom)
+        assert traj.status == "terminated"
+        ((t_ev, exc),) = traj.events
+        assert isinstance(exc, _Boom)
+        assert t_ev == traj.times[-1]
+        assert traj.states[-1, 0] < 1.0
+        assert 1.0 - 1e-13 < t_ev < 1.0
 
     def test_undeclared_exception_propagates(self):
         def f(t, y):
@@ -248,6 +266,38 @@ class TestDde:
                             (0.0, 2.0), cfg)
         assert np.array_equal(dde.times, ode.times)
         assert np.array_equal(dde.states, ode.states)
+
+    @pytest.mark.parametrize("h_max", [0.3, 10.0])
+    def test_lag_not_above_step_cap(self, h_max):
+        # steps then span whole lag intervals, and the delayed instant of
+        # the last stage, t + h - tau, can round past the last breakpoint
+        cfg = IntegratorConfig(h_max=h_max)
+        traj = integrate_dde(dde_rhs, lambda t: [1.0], 0.3, (0.0, 10.0), cfg)
+        assert traj.status == "completed"
+        assert traj.t_end == 10.0
+        ref = integrate_dde(dde_rhs, lambda t: [1.0], 0.3, (0.0, 10.0), TIGHT)
+        assert abs(traj.states[-1, 0] - ref.states[-1, 0]) < 1e-3
+
+    def test_lookup_past_last_instant(self):
+        # a lookup past the last stored instant by rounding reads its state;
+        # one further on is a logic error
+        builder = integrators._Builder(0.0, np.zeros(1), 10)
+        builder.append(3.9, np.ones(1), np.zeros((1, 4)), 3.9)
+        assert np.array_equal(builder.evaluate(3.9000000000000004), [1.0])
+        with pytest.raises(AssertionError, match="beyond computed solution"):
+            builder.evaluate(3.9 + 1e-9)
+
+    def test_future_lookup_still_guarded(self, monkeypatch):
+        # steps that ignore the breakpoints look up uncomputed solution
+        advance = integrators._advance
+
+        def no_breakpoints(f, builder, t_end, cfg, h_cap, dom, h_start):
+            return advance(f, builder, 10.0, cfg, cfg.h_max, dom, h_start)
+
+        monkeypatch.setattr(integrators, "_advance", no_breakpoints)
+        with pytest.raises(AssertionError, match="beyond computed solution"):
+            integrate_dde(dde_rhs, lambda t: [1.0], 0.3, (0.0, 10.0),
+                          IntegratorConfig(h_max=10.0))
 
     def test_nonpositive_lag_rejected(self):
         with pytest.raises(ValueError):

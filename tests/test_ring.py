@@ -15,7 +15,6 @@ from ringsim.models import (
     idm_equilibrium_speed,
 )
 from ringsim.ring import (
-    Collision,
     RingScenario,
     apply_perturbation,
     build_uniform_scenario,
@@ -150,8 +149,9 @@ class TestRhs:
         sc = build_uniform_scenario("idm")
         z = initial_state(sc)
         z[2] = z[0]
-        with pytest.raises(CollisionError):
+        with pytest.raises(CollisionError) as info:
             rhs(0.0, z, z, sc)
+        assert info.value.vehicle == 1
 
     def test_delayed_inputs_feed_idm(self):
         # with tau > 0 the IDM must see the delayed state, not the current;
@@ -257,8 +257,9 @@ class TestRhsMatchesScalarOracle:
         z_now = initial_state(sc)
         z_then = z_now.copy()
         z_then[2] = z_then[0]
-        with pytest.raises(CollisionError):
+        with pytest.raises(CollisionError) as info:
             rhs(0.0, z_now, z_then, sc)
+        assert info.value.vehicle == 1
 
     def test_follower_stopper_delayed_gap_not_checked(self):
         # the FollowerStopper vehicle acts on the current state only
@@ -359,7 +360,33 @@ class TestSimulate:
         traj = simulate(sc, z0=z0)
         assert traj.status == "terminated"
         assert traj.times.shape == (1,)
-        assert traj.events == [(0.0, Collision(1))]
+        ((t_ev, exc),) = traj.events
+        assert t_ev == 0.0
+        assert isinstance(exc, CollisionError)
+        assert exc.vehicle == 1
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5])
+    def test_follower_stopper_crash_terminates(self, tau):
+        # a FollowerStopper vehicle at 10 m/s, 1 m behind a stopped IDM
+        # leader, cannot brake in time; it must neither drive through its
+        # leader nor end the run in a solver failure
+        sc = RingScenario(ring_length=100.0, controllers=(FsParams(), IdmParams()),
+                          tau=tau, t_end=10.0)
+        traj = simulate(sc, z0=[9.0, 10.0, 10.0, 0.0])
+        assert traj.status == "terminated"
+        ((t_ev, exc),) = traj.events
+        assert isinstance(exc, CollisionError)
+        assert exc.vehicle == 0
+        assert t_ev == traj.t_end == pytest.approx(0.1058145, abs=1e-6)
+        x = traj.states[:, 0::2]
+        assert np.all(x[:, 1] - x[:, 0] > 0.0)
+
+    @pytest.mark.parametrize("tau", [0.1, 0.05])
+    def test_delay_not_above_step_cap(self, tau):
+        sc = replace(build_uniform_scenario("idm_delayed"), tau=tau, t_end=5.0)
+        traj = simulate(sc)
+        assert traj.status == "completed"
+        assert traj.t_end == 5.0
 
 
 class TestRingSeries:
