@@ -40,7 +40,6 @@ from .ring import (
     simulate,
 )
 from .analysis import (
-    FD_DTYPE,
     FleetStats,
     LyapunovResult,
     fleet_stats,

@@ -16,7 +16,6 @@ import numpy as np
 from .ring import RingSeries
 
 __all__ = [
-    "FD_DTYPE",
     "FleetStats",
     "LyapunovResult",
     "voronoi_density",
@@ -27,13 +26,6 @@ __all__ = [
     "stop_events",
     "fleet_stats",
 ]
-
-# One fundamental-diagram sample per vehicle per instant; q = k*v by
-# construction.
-FD_DTYPE = np.dtype(
-    [("t", "f8"), ("vehicle", "i4"), ("k", "f8"), ("q", "f8"), ("v", "f8")]
-)
-
 
 def voronoi_density(gaps) -> np.ndarray:
     """Per-vehicle density estimate k = 1/gap (cars/m).
@@ -47,19 +39,13 @@ def voronoi_density(gaps) -> np.ndarray:
     return 1.0 / gaps
 
 
-def fundamental_diagram(series: RingSeries) -> np.ndarray:
-    """(t, vehicle, density, flow, speed) record per vehicle per instant."""
-    gaps = series.gaps()
-    k = voronoi_density(gaps)
-    v = series.velocities
-    n_t, n_veh = v.shape
-    out = np.empty(n_t * n_veh, dtype=FD_DTYPE)
-    out["t"] = np.repeat(series.times, n_veh)
-    out["vehicle"] = np.tile(np.arange(n_veh), n_t)
-    out["k"] = k.ravel()
-    out["v"] = v.ravel()
-    out["q"] = out["k"] * out["v"]
-    return out
+def fundamental_diagram(series: RingSeries) -> tuple[np.ndarray, np.ndarray]:
+    """Density k and flow q = k*v of every vehicle at every instant.
+
+    Returns (k, q), each shaped like series.velocities.
+    """
+    k = voronoi_density(series.gaps())
+    return k, k * series.velocities
 
 
 @dataclass
@@ -415,16 +401,15 @@ def max_lyapunov(signal, sample_rate: float = 1.0, embed_dim: int = 3,
     )
 
 
-def phase_projection(series: RingSeries, vehicle: int) -> np.ndarray:
-    """Per-instant (gap, leader speed minus own speed) pairs, shape (n, 2).
+def phase_projection(series: RingSeries) -> tuple[np.ndarray, np.ndarray]:
+    """Gap and leader speed minus own speed of every vehicle at every instant.
 
-    The two-dimensional projection in which uniform flow is a single point
-    and sustained waves trace closed orbits.
+    Returns (gap, dv), each shaped like series.velocities. Per vehicle this
+    is the two-dimensional projection in which uniform flow is a single
+    point and sustained waves trace closed orbits.
     """
-    ldr = int(series.leader_index()[vehicle])
-    gaps = series.gaps()[:, vehicle]
-    dv = series.velocities[:, ldr] - series.velocities[:, vehicle]
-    return np.column_stack([gaps, dv])
+    v = series.velocities
+    return series.gaps(), v[:, series.leader_index()] - v
 
 
 def heatmap_grid(series: RingSeries, n_bins: int = 100):

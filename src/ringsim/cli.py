@@ -39,6 +39,7 @@ EXIT_SOLVER = 4
 OUT_ENV_VAR = "RINGSIM_OUT"
 
 FLOAT_FMT = "%.17g"
+_ROW_BLOCK = 1 << 14  # CSV rows formatted per write in ``_write_table``
 
 
 class ConfigError(ValueError):
@@ -250,66 +251,52 @@ def _manifest(cfg: RunConfig, **extra) -> dict:
     return {"tool": "ringsim", "version": __version__, "config": config_to_dict(cfg), **extra}
 
 
-def _write_table(path, header: str, columns, fmts):
-    data = np.column_stack(columns)
-    np.savetxt(path, data, fmt=fmts, delimiter=",", header=header, comments="")
+def _write_table(path, header: str, columns, fmts) -> None:
+    """Write a CSV file: the header line, then row i of the columns formatted
+    with fmts, _ROW_BLOCK rows at a time."""
+    fmt = ",".join(fmts) + "\n"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for i in range(0, len(columns[0]), _ROW_BLOCK):
+            block = [np.asarray(col[i:i + _ROW_BLOCK]).tolist() for col in columns]
+            fh.write("".join(fmt % row for row in zip(*block)))
 
 
 def write_artifacts(out_dir: str, cfg: RunConfig, traj, series) -> dict:
     """Write every enabled artifact; returns the stats mapping."""
     os.makedirs(out_dir, exist_ok=True)
-    sc = cfg.scenario
-    an = cfg.analysis
-    n_veh = sc.n_vehicles
-    n_t = series.times.size
-    veh_col = np.tile(np.arange(n_veh), n_t)
-    t_col = np.repeat(series.times, n_veh)
+    out = cfg.outputs
+    n_t, n_veh = series.velocities.shape
+    fleet = [np.repeat(series.times, n_veh), np.tile(np.arange(n_veh), n_t)]
 
-    if cfg.outputs.trajectory:
-        _write_table(
-            os.path.join(out_dir, "trajectory.csv"),
-            "t_s,vehicle,x_m,v_m_per_s",
-            [t_col, veh_col, series.positions.ravel(), series.velocities.ravel()],
-            [FLOAT_FMT, "%d", FLOAT_FMT, FLOAT_FMT],
-        )
-    if cfg.outputs.fd:
-        fd = analysis.fundamental_diagram(series)
-        _write_table(
-            os.path.join(out_dir, "fd.csv"),
-            "t_s,vehicle,k_cars_per_m,q_cars_per_s,v_m_per_s",
-            [fd["t"], fd["vehicle"], fd["k"], fd["q"], fd["v"]],
-            [FLOAT_FMT, "%d", FLOAT_FMT, FLOAT_FMT, FLOAT_FMT],
-        )
-    if cfg.outputs.heatmap:
-        grid, _ = analysis.heatmap_grid(series, an.heatmap_bins)
+    def fleet_table(name, header, *tables):
+        """One row per vehicle per instant: t, vehicle, then the tables' values."""
+        _write_table(os.path.join(out_dir, name), "t_s,vehicle," + header,
+                     fleet + [a.ravel() for a in tables],
+                     [FLOAT_FMT, "%d"] + [FLOAT_FMT] * len(tables))
+
+    if out.trajectory:
+        fleet_table("trajectory.csv", "x_m,v_m_per_s", series.positions, series.velocities)
+    if out.fd:
+        fleet_table("fd.csv", "k_cars_per_m,q_cars_per_s,v_m_per_s",
+                    *analysis.fundamental_diagram(series), series.velocities)
+    if out.heatmap:
+        grid, _ = analysis.heatmap_grid(series, cfg.analysis.heatmap_bins)
         rows, bins = np.nonzero(np.isfinite(grid))
-        _write_table(
-            os.path.join(out_dir, "heatmap.csv"),
-            "t_s,bin,mean_v_m_per_s",
-            [series.times[rows], bins, grid[rows, bins]],
-            [FLOAT_FMT, "%d", FLOAT_FMT],
-        )
-    if cfg.outputs.phase:
-        proj = np.stack([analysis.phase_projection(series, i) for i in range(n_veh)])
-        gaps = proj[:, :, 0].T.ravel()   # back to instant-major order
-        dv = proj[:, :, 1].T.ravel()
-        _write_table(
-            os.path.join(out_dir, "phase.csv"),
-            "t_s,vehicle,gap_m,dv_m_per_s",
-            [t_col, veh_col, gaps, dv],
-            [FLOAT_FMT, "%d", FLOAT_FMT, FLOAT_FMT],
-        )
+        _write_table(os.path.join(out_dir, "heatmap.csv"), "t_s,bin,mean_v_m_per_s",
+                     [series.times[rows], bins, grid[rows, bins]], [FLOAT_FMT, "%d", FLOAT_FMT])
+    if out.phase:
+        fleet_table("phase.csv", "gap_m,dv_m_per_s", *analysis.phase_projection(series))
 
     stats = compute_stats(cfg, traj, series)
     _write_json(os.path.join(out_dir, "stats.json"), stats)
 
-    events = analysis.stop_events(series, an.stop_speed)
-    with open(os.path.join(out_dir, "events.csv"), "w") as fh:
-        fh.write("t_s,event,vehicle\n")
-        for t, veh in events:
-            fh.write(f"{t:.17g},stop,{veh}\n")
-        for t, exc in traj.events:
-            fh.write(f"{t:.17g},collision,{exc.vehicle}\n")
+    # stop rows first, then the collision that ended the run, if any; with
+    # no events the table is the header alone
+    events = [(t, "stop", veh) for t, veh in analysis.stop_events(series, cfg.analysis.stop_speed)]
+    events += [(t, "collision", exc.vehicle) for t, exc in traj.events]
+    _write_table(os.path.join(out_dir, "events.csv"), "t_s,event,vehicle",
+                 list(zip(*events)) or [()] * 3, [FLOAT_FMT, "%s", "%d"])
 
     _write_json(os.path.join(out_dir, "manifest.json"), _manifest(cfg))
     return stats
@@ -329,25 +316,35 @@ def compute_stats(cfg: RunConfig, traj, series) -> dict:
     final = series.window(series.times[-1] - an.final_window_s)
     final_v_std = float(final.velocities.std(axis=1).max()) if final.times.size else 0.0
 
-    lyap = None
-    lyap_error = None
-    try:
-        trimmed = series.window(an.trim_s) if an.trim_s > 0 else series
-        signal = trimmed.velocities[:, an.lyapunov_vehicle]
-        fit_end = max(1, int(round(an.fit_window_s * sc.sample_hz)))
-        lyap = analysis.max_lyapunov(
-            signal,
-            sample_rate=sc.sample_hz,
-            embed_dim=an.embed_dim,
-            lag=an.lag,
-            min_separation=an.min_separation,
-            fit_range=(0, fit_end),
-        )
-    except ValueError as exc:
-        lyap_error = str(exc)
-
     collision = traj.status == "terminated"
     collision_time = traj.events[-1][0] if collision else None
+    min_gap, max_density = fleet.min_gap, fleet.max_density
+    lyap = None
+    lyap_error = None
+    if collision:
+        # the samples stop short of the touching state; the last accepted
+        # state is the closest to it
+        x = traj.states[-1, 0::2]
+        min_gap = min(min_gap, float(((np.roll(x, 1) - x) % sc.ring_length).min()))
+        max_density = max(max_density, 1.0 / min_gap)
+        lyap_error = (f"not computed: run terminated by a collision of vehicle "
+                      f"{traj.events[-1][1].vehicle} at t={float(collision_time)!r}")
+    else:
+        try:
+            trimmed = series.window(an.trim_s) if an.trim_s > 0 else series
+            signal = trimmed.velocities[:, an.lyapunov_vehicle]
+            fit_end = max(1, int(round(an.fit_window_s * sc.sample_hz)))
+            lyap = analysis.max_lyapunov(
+                signal,
+                sample_rate=sc.sample_hz,
+                embed_dim=an.embed_dim,
+                lag=an.lag,
+                min_separation=an.min_separation,
+                fit_range=(0, fit_end),
+            )
+        except ValueError as exc:
+            lyap_error = str(exc)
+
     stats = {
         "status": traj.status,
         "collision": collision,
@@ -356,9 +353,9 @@ def compute_stats(cfg: RunConfig, traj, series) -> dict:
         "n_samples": int(series.times.size),
         "lambda_max": _finite_or_none(lyap.lambda_max) if lyap else None,
         "lyapunov": None,
-        "max_density_cars_per_m": fleet.max_density,
+        "max_density_cars_per_m": max_density,
         "median_density_cars_per_m": float(np.median(1.0 / series.gaps())),
-        "min_gap_m": fleet.min_gap,
+        "min_gap_m": min_gap,
         "stop_event_count": fleet.stop_event_count,
         "stop_events_after_settle": len(after_settle),
         "first_stop_time_s": _finite_or_none(first_stop),
@@ -410,6 +407,10 @@ def _config_with_overrides(d, args) -> RunConfig:
         if val is not None and isinstance(d, dict) and isinstance(d.get(section, {}), dict):
             d = {**d, section: {**d.get(section, {}), key: val}}
     return config_from_dict(d)
+
+
+def _csv_cell(x) -> str:
+    return "" if x is None else repr(x) if isinstance(x, float) else str(x)
 
 
 def _fmt_cell(x):
@@ -472,23 +473,18 @@ def cmd_compare(args) -> int:
             row = {"preset": preset}
             for key in COMPARE_COLUMNS[1:]:
                 row[key] = stats.get(key)
+            # -inf marks a degenerate estimate; a collision run has none
             if stats.get("lambda_max") is None:
-                row["lambda_max"] = float("-inf") if stats["lyapunov"]["degenerate"] else None
+                row["lambda_max"] = (float("-inf") if stats["lyapunov"]["degenerate"]
+                                     and not stats["collision"] else None)
             rows.append(row)
 
     os.makedirs(out_root, exist_ok=True)
-    table_path = os.path.join(out_root, "compare.csv")
-    with open(table_path, "w") as fh:
-        fh.write(",".join(COMPARE_COLUMNS) + "\n")
-        for row in rows:
-            if "error" in row:
-                fh.write(f"{row['preset']},error,,,,\n")
-                continue
-            cells = [row["preset"]] + [
-                ("" if row[c] is None else repr(row[c]) if isinstance(row[c], float) else str(row[c]))
-                for c in COMPARE_COLUMNS[1:]
-            ]
-            fh.write(",".join(cells) + "\n")
+    cells = [[row["preset"], "error"] + [""] * (len(COMPARE_COLUMNS) - 2) if "error" in row
+             else [row["preset"]] + [_csv_cell(row[c]) for c in COMPARE_COLUMNS[1:]]
+             for row in rows]
+    _write_table(os.path.join(out_root, "compare.csv"), ",".join(COMPARE_COLUMNS),
+                 list(zip(*cells)), ["%s"] * len(COMPARE_COLUMNS))
 
     widths = [14, 12, 12, 7, 10, 10]
     print("  ".join(name.ljust(w) for name, w in zip(

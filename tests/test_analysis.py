@@ -44,29 +44,28 @@ class TestVoronoiDensity:
 
 class TestFundamentalDiagram:
     def test_uniform_flow_samples(self):
-        fd = fundamental_diagram(uniform_series())
-        assert np.allclose(fd["k"], 0.1)
-        assert np.allclose(fd["q"], 0.5)
-        assert np.allclose(fd["v"], 5.0)
+        k, q = fundamental_diagram(uniform_series())
+        assert k.shape == q.shape == (60, 10)
+        assert np.allclose(k, 0.1)
+        assert np.allclose(q, 0.5)
 
     def test_flow_identity_exact(self):
         series = uniform_series()
         rng = np.random.default_rng(5)
         series.velocities += rng.uniform(0, 2, series.velocities.shape)
-        fd = fundamental_diagram(series)
-        assert np.array_equal(fd["q"], fd["k"] * fd["v"])
+        k, q = fundamental_diagram(series)
+        assert np.array_equal(q, k * series.velocities)
 
     def test_stopped_vehicle_zero_flow(self):
         series = uniform_series()
         series.velocities[:, 3] = 0.0
-        fd = fundamental_diagram(series)
-        assert np.all(fd["q"][fd["vehicle"] == 3] == 0.0)
+        _, q = fundamental_diagram(series)
+        assert np.all(q[:, 3] == 0.0)
 
     def test_density_gap_duality(self):
         series = uniform_series()
-        fd = fundamental_diagram(series)
-        gaps = series.gaps().ravel()
-        assert np.allclose(fd["k"] * gaps, 1.0, rtol=1e-12)
+        k, _ = fundamental_diagram(series)
+        assert np.allclose(k * series.gaps(), 1.0, rtol=1e-12)
 
     def test_densities_cover_ring(self):
         # sum of k_i * gap_i counts each vehicle exactly once
@@ -333,17 +332,29 @@ class TestLorenzBenchmark:
 class TestPhaseProjection:
     def test_uniform_flow_single_point(self):
         series = uniform_series()
-        proj = phase_projection(series, 3)
-        assert proj.shape == (60, 2)
-        assert np.allclose(proj[:, 0], 10.0, atol=1e-9)
-        assert np.allclose(proj[:, 1], 0.0, atol=1e-12)
-        assert proj[:, 0].std() == pytest.approx(0.0, abs=1e-9)
+        gap, dv = phase_projection(series)
+        assert gap.shape == dv.shape == (60, 10)
+        assert np.allclose(gap, 10.0, atol=1e-9)
+        assert np.allclose(dv, 0.0, atol=1e-12)
+        assert gap[:, 3].std() == pytest.approx(0.0, abs=1e-9)
 
     def test_speed_difference_sign(self):
         series = uniform_series()
         series.velocities[:, 3] = 4.0  # vehicle 3 slower than its leader
-        proj = phase_projection(series, 3)
-        assert np.all(proj[:, 1] > 0)
+        _, dv = phase_projection(series)
+        assert np.all(dv[:, 3] > 0)
+
+    def test_matches_per_vehicle_oracle(self):
+        rng = np.random.default_rng(8)
+        length = 80.0
+        series = RingSeries(np.arange(40) / 30.0, rng.uniform(0, length, (40, 7)),
+                            rng.uniform(0, 12, (40, 7)), length)
+        gap, dv = phase_projection(series)
+        pos, vel = series.positions, series.velocities
+        for i in range(7):  # the per-vehicle projection, one leader at a time
+            ldr = (i - 1) % 7
+            assert np.array_equal(gap[:, i], (pos[:, ldr] - pos[:, i]) % length)
+            assert np.array_equal(dv[:, i], vel[:, ldr] - vel[:, i])
 
 
 class TestHeatmap:

@@ -12,7 +12,7 @@ from ringsim import cli
 from ringsim.analysis import fundamental_diagram
 from ringsim.integrators import IntegratorConfig
 from ringsim.models import FsParams, IdmParams
-from ringsim.ring import RingScenario, RingSeries
+from ringsim.ring import RingScenario, RingSeries, simulate
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -370,6 +370,87 @@ class TestFailureExitCodes:
         assert "error" in manifest
 
 
+# A FollowerStopper vehicle that tracks 20 m/s too slowly to stop behind its
+# IDM leader; the run ends in a collision of vehicle 0 at t=2.806 s.
+_CRASH = {"scenario": {
+    "ring_length": 60, "v_init": 15, "t_end": 60,
+    "vehicles": [{"controller": "fs", "r": 20, "k_track": 0.1},
+                 {"controller": "idm", "v0": 2}],
+}}
+
+
+class TestCollisionStats:
+    def run_crash(self, tmp_path, config=_CRASH):
+        path = tmp_path / "crash.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(path), "-o", str(out)) == cli.EXIT_COLLISION
+        return out, json.loads((out / "stats.json").read_text())
+
+    def test_lyapunov_not_computed(self, tmp_path):
+        _, stats = self.run_crash(tmp_path)
+        assert stats["lambda_max"] is None
+        assert stats["lyapunov"] == {
+            "degenerate": True,
+            "note": "not computed: run terminated by a collision of vehicle 0 "
+                    f"at t={stats['collision_time_s']!r}",
+        }
+
+    def test_min_gap_includes_last_accepted_state(self, tmp_path):
+        _, stats = self.run_crash(tmp_path)
+        cfg = cli.config_from_dict(_CRASH)
+        x = simulate(cfg.scenario, cfg.integrator).states[-1, 0::2]
+        last_gap = float(((x[[1, 0]] - x) % 60.0).min())   # leader of i is i-1
+        assert last_gap < 1e-6
+        assert stats["min_gap_m"] == last_gap
+        assert stats["max_density_cars_per_m"] == 1.0 / last_gap
+
+    def test_events_stop_rows_then_collision(self, tmp_path):
+        # the IDM leader brakes below the stop threshold by the first sample
+        # after t=0, then the FollowerStopper vehicle runs into it
+        config = json.loads(json.dumps(_CRASH))
+        config["scenario"]["vehicles"][1]["v0"] = 0.05
+        out, stats = self.run_crash(tmp_path, config)
+        lines = (out / "events.csv").read_text().splitlines()
+        assert lines[:2] == ["t_s,event,vehicle", "0.033333333333333333,stop,1"]
+        t, kind, veh = lines[-1].split(",")
+        assert (float(t), kind, veh) == (stats["collision_time_s"], "collision", "0")
+        assert len(lines) == 2 + stats["stop_event_count"]
+
+
+class TestWriteTable:
+    @staticmethod
+    def check_against_savetxt(tmp_path, columns, fmts):
+        """_write_table's bytes equal np.savetxt's for the same columns."""
+        header = ",".join(f"c{i}" for i in range(len(columns)))
+        ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
+        cli._write_table(str(ours), header, columns, fmts)
+        np.savetxt(oracle, np.column_stack(columns), fmt=fmts, delimiter=",",
+                   header=header, comments="")
+        assert ours.read_bytes() == oracle.read_bytes()
+
+    def test_floats_and_ints_match_savetxt(self, tmp_path):
+        rng = np.random.default_rng(3)
+        n = 500
+        wide = rng.uniform(-1, 1, n) * 10.0 ** rng.integers(-300, 301, n)
+        special = [-0.0, 0.0, 0.1 + 0.2, 1 / 3, -2 / 3, 5e-324, 1.7976931348623157e308]
+        wide[:len(special)] = special
+        ints = rng.integers(-10**6, 10**6, n)
+        self.check_against_savetxt(tmp_path, [wide, ints, rng.normal(size=n)],
+                                   [cli.FLOAT_FMT, "%d", cli.FLOAT_FMT])
+
+    def test_partial_last_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_ROW_BLOCK", 7)
+        rng = np.random.default_rng(4)
+        self.check_against_savetxt(tmp_path, [rng.normal(size=30), np.arange(30)],
+                                   [cli.FLOAT_FMT, "%d"])
+
+    def test_empty_table_is_header_only(self, tmp_path):
+        self.check_against_savetxt(tmp_path, [np.empty(0), np.empty(0, dtype=int)],
+                                   [cli.FLOAT_FMT, "%d"])
+        assert (tmp_path / "ours.csv").read_text() == "c0,c1\n"
+
+
 class TestRoundTrip:
     def test_trajectory_roundtrip_reproduces_analysis(self, tmp_path):
         # 17-significant-digit floats must re-parse bit-exactly, so both the
@@ -382,11 +463,11 @@ class TestRoundTrip:
         x = rows[:, 2].reshape(-1, n_veh)
         v = rows[:, 3].reshape(-1, n_veh)
         series = RingSeries(times, x, v, 100.0)
-        fd = fundamental_diagram(series)
+        k, q = fundamental_diagram(series)
         fd_rows = np.loadtxt(out / "fd.csv", delimiter=",", skiprows=1)
-        assert np.array_equal(fd_rows[:, 2], fd["k"])
-        assert np.array_equal(fd_rows[:, 3], fd["q"])
-        assert np.array_equal(fd_rows[:, 4], fd["v"])
+        assert np.array_equal(fd_rows[:, 2], k.ravel())
+        assert np.array_equal(fd_rows[:, 3], q.ravel())
+        assert np.array_equal(fd_rows[:, 4], v.ravel())
 
         stats = json.loads((out / "stats.json").read_text())
         from ringsim.analysis import max_lyapunov
