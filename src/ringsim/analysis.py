@@ -423,14 +423,13 @@ def heatmap_grid(series: RingSeries, n_bins: int = 100):
     edges = np.linspace(0.0, length, n_bins + 1)
     bins = np.minimum((series.positions / (length / n_bins)).astype(int), n_bins - 1)
     n_t = series.times.size
-    sums = np.zeros((n_t, n_bins))
-    counts = np.zeros((n_t, n_bins))
-    rows = np.repeat(np.arange(n_t), series.n_vehicles)
-    np.add.at(sums, (rows, bins.ravel()), series.velocities.ravel())
-    np.add.at(counts, (rows, bins.ravel()), 1.0)
-    with np.errstate(invalid="ignore"):
-        grid = sums / counts
-    grid[counts == 0] = np.nan
+    # Sum over the occupied cells only (at most one per vehicle per instant);
+    # bincount adds each cell's speeds in input order, as np.add.at does.
+    cells, which = np.unique((np.arange(n_t)[:, None] * n_bins + bins).ravel(),
+                             return_inverse=True)
+    grid = np.full((n_t, n_bins), np.nan)
+    grid.flat[cells] = (np.bincount(which, weights=series.velocities.ravel())
+                        / np.bincount(which))
     return grid, edges
 
 

@@ -251,9 +251,18 @@ def _manifest(cfg: RunConfig, **extra) -> dict:
     return {"tool": "ringsim", "version": __version__, "config": config_to_dict(cfg), **extra}
 
 
+def _cells(fmt: str, values) -> np.ndarray:
+    """Each value formatted with fmt once, as an object array of strings.
+
+    Tables index or repeat it and write the shared strings with "%s".
+    """
+    return np.array([fmt % x for x in np.asarray(values).tolist()], dtype=object)
+
+
 def _write_table(path, header: str, columns, fmts) -> None:
     """Write a CSV file: the header line, then row i of the columns formatted
-    with fmts, _ROW_BLOCK rows at a time."""
+    with fmts, _ROW_BLOCK rows at a time. A column of cells from ``_cells``
+    takes the format "%s"."""
     fmt = ",".join(fmts) + "\n"
     with open(path, "w") as fh:
         fh.write(header + "\n")
@@ -267,13 +276,16 @@ def write_artifacts(out_dir: str, cfg: RunConfig, traj, series) -> dict:
     os.makedirs(out_dir, exist_ok=True)
     out = cfg.outputs
     n_t, n_veh = series.velocities.shape
-    fleet = [np.repeat(series.times, n_veh), np.tile(np.arange(n_veh), n_t)]
+    if out.trajectory or out.fd or out.heatmap or out.phase:
+        # each instant's time and each vehicle index is formatted once per run
+        t_cells = _cells(FLOAT_FMT, series.times)
+        fleet = [np.repeat(t_cells, n_veh), np.tile(_cells("%d", np.arange(n_veh)), n_t)]
 
     def fleet_table(name, header, *tables):
         """One row per vehicle per instant: t, vehicle, then the tables' values."""
         _write_table(os.path.join(out_dir, name), "t_s,vehicle," + header,
                      fleet + [a.ravel() for a in tables],
-                     [FLOAT_FMT, "%d"] + [FLOAT_FMT] * len(tables))
+                     ["%s", "%s"] + [FLOAT_FMT] * len(tables))
 
     if out.trajectory:
         fleet_table("trajectory.csv", "x_m,v_m_per_s", series.positions, series.velocities)
@@ -284,16 +296,18 @@ def write_artifacts(out_dir: str, cfg: RunConfig, traj, series) -> dict:
         grid, _ = analysis.heatmap_grid(series, cfg.analysis.heatmap_bins)
         rows, bins = np.nonzero(np.isfinite(grid))
         _write_table(os.path.join(out_dir, "heatmap.csv"), "t_s,bin,mean_v_m_per_s",
-                     [series.times[rows], bins, grid[rows, bins]], [FLOAT_FMT, "%d", FLOAT_FMT])
+                     [t_cells[rows], _cells("%d", np.arange(grid.shape[1]))[bins],
+                      grid[rows, bins]], ["%s", "%s", FLOAT_FMT])
     if out.phase:
         fleet_table("phase.csv", "gap_m,dv_m_per_s", *analysis.phase_projection(series))
 
-    stats = compute_stats(cfg, traj, series)
+    stops = analysis.stop_events(series, cfg.analysis.stop_speed)
+    stats = compute_stats(cfg, traj, series, stops)
     _write_json(os.path.join(out_dir, "stats.json"), stats)
 
     # stop rows first, then the collision that ended the run, if any; with
     # no events the table is the header alone
-    events = [(t, "stop", veh) for t, veh in analysis.stop_events(series, cfg.analysis.stop_speed)]
+    events = [(t, "stop", veh) for t, veh in stops]
     events += [(t, "collision", exc.vehicle) for t, exc in traj.events]
     _write_table(os.path.join(out_dir, "events.csv"), "t_s,event,vehicle",
                  list(zip(*events)) or [()] * 3, [FLOAT_FMT, "%s", "%d"])
@@ -306,19 +320,20 @@ def _finite_or_none(x):
     return float(x) if x is not None and math.isfinite(x) else None
 
 
-def compute_stats(cfg: RunConfig, traj, series) -> dict:
+def compute_stats(cfg: RunConfig, traj, series, stops) -> dict:
+    """The stats.json mapping of a run; stops are the series' stop events."""
     sc = cfg.scenario
     an = cfg.analysis
-    fleet = analysis.fleet_stats(series, an.stop_speed)
-    events = analysis.stop_events(series, an.stop_speed)
-    first_stop = events[0][0] if events else None
-    after_settle = [e for e in events if e[0] > an.settle_window_s]
+    gaps = series.gaps()
+    density = analysis.voronoi_density(gaps)
+    first_stop = stops[0][0] if stops else None
+    after_settle = [e for e in stops if e[0] > an.settle_window_s]
     final = series.window(series.times[-1] - an.final_window_s)
     final_v_std = float(final.velocities.std(axis=1).max()) if final.times.size else 0.0
 
     collision = traj.status == "terminated"
     collision_time = traj.events[-1][0] if collision else None
-    min_gap, max_density = fleet.min_gap, fleet.max_density
+    min_gap, max_density = float(gaps.min()), float(density.max())
     lyap = None
     lyap_error = None
     if collision:
@@ -354,9 +369,9 @@ def compute_stats(cfg: RunConfig, traj, series) -> dict:
         "lambda_max": _finite_or_none(lyap.lambda_max) if lyap else None,
         "lyapunov": None,
         "max_density_cars_per_m": max_density,
-        "median_density_cars_per_m": float(np.median(1.0 / series.gaps())),
+        "median_density_cars_per_m": float(np.median(density)),
         "min_gap_m": min_gap,
-        "stop_event_count": fleet.stop_event_count,
+        "stop_event_count": len(stops),
         "stop_events_after_settle": len(after_settle),
         "first_stop_time_s": _finite_or_none(first_stop),
         "final_v_std_m_per_s": final_v_std,
@@ -473,10 +488,12 @@ def cmd_compare(args) -> int:
             row = {"preset": preset}
             for key in COMPARE_COLUMNS[1:]:
                 row[key] = stats.get(key)
-            # -inf marks a degenerate estimate; a collision run has none
-            if stats.get("lambda_max") is None:
-                row["lambda_max"] = (float("-inf") if stats["lyapunov"]["degenerate"]
-                                     and not stats["collision"] else None)
+            # -inf marks an estimate max_lyapunov returned as degenerate; an
+            # exponent never estimated (a collision, a short series) has a
+            # lyapunov block without the estimator's diagnostics
+            lyap = stats["lyapunov"]
+            if row["lambda_max"] is None and lyap["degenerate"] and "n_points" in lyap:
+                row["lambda_max"] = float("-inf")
             rows.append(row)
 
     os.makedirs(out_root, exist_ok=True)

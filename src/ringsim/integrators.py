@@ -11,7 +11,10 @@ already-completed steps).
 One evaluator reads every state off a trajectory, at a scalar instant or
 at a 1-d array of them: the delayed lookups while integrating,
 :meth:`Trajectory.evaluate` and, through it, the uniform-rate series of
-:func:`ringsim.ring.sample`.
+:func:`ringsim.ring.sample`. One stage loop serves both entry points. Each
+attempted step reads the delayed states of all its stages in one lookup,
+over the step's five distinct stage instants (the last two stages share
+t + h); the ODE path lags nothing.
 """
 
 from __future__ import annotations
@@ -59,6 +62,9 @@ _P = np.array(
     ]
 )
 _THETA_POWERS = np.arange(1.0, 5.0)[:, None]  # exponents 1..4 as a column
+# Row of a step's delayed lookups that serves each stage 1..6: the lookups
+# cover the distinct instants t + _C[1:6] * h, and _C[6] == _C[5].
+_LAG_ROW = (None, 0, 1, 2, 3, 4, 4)
 
 _EPS = np.finfo(float).eps
 _SAFETY = 0.9
@@ -211,16 +217,18 @@ class _Builder:
     def y_last(self) -> np.ndarray:
         return self.states[self.n - 1]
 
-    def evaluate(self, t: float) -> np.ndarray:
+    def evaluate(self, t) -> np.ndarray:
         # Causality guard: delayed lookups must never target uncomputed
         # solution. The method-of-steps interval layout keeps them at or
         # before the last instant, up to the rounding of t + h - tau (below
         # 16 eps of the instants' magnitude); the zero step past the last
-        # instant gives its stored state. Failing here is an internal logic
-        # error.
+        # instant gives its stored state. A batch is guarded by its latest
+        # instant. Failing here is an internal logic error.
+        t = np.asarray(t, dtype=float)
+        latest = float(t.max())
         t_last = self.t_last
-        if t > t_last and t - t_last > 16 * _EPS * max(abs(self.times[0]), abs(t_last)):
-            raise AssertionError(f"lookup at t={t!r} beyond computed solution")
+        if latest > t_last and latest - t_last > 16 * _EPS * max(abs(self.times[0]), abs(t_last)):
+            raise AssertionError(f"lookup at t={latest!r} beyond computed solution")
         return _dense(self.times[: self.n], self.states, self.coeffs, self.hs, t)
 
     def finish(self, status: str) -> Trajectory:
@@ -258,18 +266,32 @@ def _initial_step(f, t0, y0, f0, rel_tol, abs_tol, h_cap, dom=()):
     return min(100 * h0, h1, h_cap)
 
 
-def _advance(f, builder, t_end, cfg, h_cap, dom, h_start):
+def _no_lag(ts):
+    """Delayed states of an ODE, which reads none: one None per instant."""
+    return [None] * len(ts)
+
+
+def _advance(f, lagged, builder, t_end, cfg, h_cap, dom, h_start):
     """Step from the builder's last state up to t_end.
+
+    lagged maps a 1-d array of ascending instants to one row per instant,
+    the delayed states of a DDE; f(t, y, z) is the derivative at t given
+    the row z for t. Each attempted step calls lagged once, on its distinct
+    stage instants.
 
     Returns (status, h_next): status "completed" when t_end was hit,
     "terminated" when f raised the domain error dom at the start state or
     down to a vanishing step; the builder's events then hold that error.
     """
+
+    def f_at(s, y):
+        return f(s, y, lagged(np.array([s]))[0])
+
     t = builder.t_last
     y = builder.y_last.copy()
     k = np.empty((7, y.size))
     try:
-        k[0] = f(t, y)
+        k[0] = f_at(t, y)
     except dom as exc:
         builder.events.append((t, exc))
         return "terminated", h_start
@@ -280,7 +302,7 @@ def _advance(f, builder, t_end, cfg, h_cap, dom, h_start):
         # non-finite, which rejects the step.
         raise IntegrationError("non-finite state or derivative", t)
     h = h_start if h_start is not None else _initial_step(
-        f, t, y, k[0], cfg.rel_tol, cfg.abs_tol, h_cap, dom
+        f_at, t, y, k[0], cfg.rel_tol, cfg.abs_tol, h_cap, dom
     )
     err_prev = 1e-4
     just_rejected = False
@@ -302,9 +324,11 @@ def _advance(f, builder, t_end, cfg, h_cap, dom, h_start):
         try:
             # the last stage's state is the accepted state, so every
             # accepted state has passed f's domain check
+            ts = t + _C * h
+            z = lagged(ts[1:6])
             for i in range(1, 7):
                 y1 = y + h * (_A[i] @ k[:i])
-                k[i] = f(t + _C[i] * h, y1)
+                k[i] = f(ts[i], y1, z[_LAG_ROW[i]])
         except dom as exc:
             h *= 0.5
             domain_exc = exc
@@ -372,7 +396,8 @@ def integrate_ode(f, y0, t_span, cfg: IntegratorConfig | None = None,
     cfg, builder, t_end, done = _start(y0, t_span, cfg)
     if done is not None:
         return done
-    status, _ = _advance(f, builder, t_end, cfg, cfg.h_max, domain_error, cfg.h_init)
+    status, _ = _advance(lambda t, y, _: f(t, y), _no_lag, builder, t_end, cfg,
+                         cfg.h_max, domain_error, cfg.h_init)
     return builder.finish(status)
 
 
@@ -397,19 +422,24 @@ def integrate_dde(f, history, tau: float, t_span,
     if done is not None:
         return done
 
-    def past(s):
-        if s <= t0:
-            return np.asarray(history(s), dtype=float)
-        return builder.evaluate(s)
-
-    def g(t, y):
-        return f(t, y, past(t - tau))
+    def past(ts):
+        """States at the ascending instants ts - tau: from history at or
+        before t0, the rest in one lookup."""
+        s = ts - tau
+        if s[0] > t0:
+            return builder.evaluate(s)
+        z = np.empty((s.size, builder.y_last.size))
+        old = s <= t0
+        z[old] = [history(si) for si in s[old]]
+        if not old.all():
+            z[~old] = builder.evaluate(s[~old])
+        return z
 
     h_cap = min(cfg.h_max, tau)
     status, h_next, k = "completed", cfg.h_init, 1
     while status == "completed" and builder.t_last < t_end:
         stop = min(t0 + k * tau, t_end)
         if stop > builder.t_last:
-            status, h_next = _advance(g, builder, stop, cfg, h_cap, domain_error, h_next)
+            status, h_next = _advance(f, past, builder, stop, cfg, h_cap, domain_error, h_next)
         k += 1
     return builder.finish(status)

@@ -27,7 +27,7 @@ whose current gap, or delayed gap if it is an IDM vehicle, is nonpositive.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -301,6 +301,7 @@ class RingSeries:
     positions: np.ndarray
     velocities: np.ndarray
     ring_length: float
+    _gaps: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_vehicles(self) -> int:
@@ -311,9 +312,16 @@ class RingSeries:
         return (np.arange(n) - 1) % n
 
     def gaps(self) -> np.ndarray:
-        """Per-sample circular gap to each vehicle's leader."""
-        pos = self.positions
-        return (pos[:, self.leader_index()] - pos) % self.ring_length
+        """Per-sample circular gap to each vehicle's leader.
+
+        Computed on the first call; every call returns that one read-only
+        array.
+        """
+        if self._gaps is None:
+            pos = self.positions
+            self._gaps = (pos[:, self.leader_index()] - pos) % self.ring_length
+            self._gaps.flags.writeable = False
+        return self._gaps
 
     def window(self, t_from: float = -np.inf, t_to: float = np.inf) -> "RingSeries":
         """Sub-series with t_from <= t <= t_to."""

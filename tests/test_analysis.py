@@ -373,6 +373,24 @@ class TestHeatmap:
         grid, _ = heatmap_grid(series, n_bins=1)
         assert np.allclose(grid[:, 0], series.velocities.mean(axis=1))
 
+    def test_matches_add_at_oracle(self):
+        # vehicles crowded into few bins: cells hold several speeds, whose
+        # sum must be added in the order np.add.at adds them
+        rng = np.random.default_rng(9)
+        n_t, n_veh, n_bins = 50, 12, 7
+        series = RingSeries(np.arange(n_t) / 30.0, rng.uniform(0, 40.0, (n_t, n_veh)),
+                            rng.uniform(0, 12, (n_t, n_veh)), 40.0)
+        bins = np.minimum((series.positions / (40.0 / n_bins)).astype(int), n_bins - 1)
+        sums, counts = np.zeros((n_t, n_bins)), np.zeros((n_t, n_bins))
+        rows = np.repeat(np.arange(n_t), n_veh)
+        np.add.at(sums, (rows, bins.ravel()), series.velocities.ravel())
+        np.add.at(counts, (rows, bins.ravel()), 1.0)
+        with np.errstate(invalid="ignore"):
+            oracle = sums / counts
+        grid, _ = heatmap_grid(series, n_bins)
+        assert (counts > 1).any() and (counts == 0).any()
+        assert np.array_equal(grid, oracle, equal_nan=True)
+
     def test_empty_cells_marked(self):
         grid, _ = heatmap_grid(uniform_series(n_veh=2), n_bins=50)
         assert np.isnan(grid).any()

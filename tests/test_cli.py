@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringsim import cli
+from ringsim import analysis, cli
 from ringsim.analysis import fundamental_diagram
 from ringsim.integrators import IntegratorConfig
 from ringsim.models import FsParams, IdmParams
@@ -420,11 +420,15 @@ class TestCollisionStats:
 
 class TestWriteTable:
     @staticmethod
-    def check_against_savetxt(tmp_path, columns, fmts):
-        """_write_table's bytes equal np.savetxt's for the same columns."""
+    def check_against_savetxt(tmp_path, columns, fmts, written=None):
+        """_write_table's bytes equal np.savetxt's for the same columns.
+
+        written, if given, is the (columns, fmts) pair _write_table gets in
+        their place, such as cells standing for the columns' values.
+        """
         header = ",".join(f"c{i}" for i in range(len(columns)))
         ours, oracle = tmp_path / "ours.csv", tmp_path / "oracle.csv"
-        cli._write_table(str(ours), header, columns, fmts)
+        cli._write_table(str(ours), header, *(written or (columns, fmts)))
         np.savetxt(oracle, np.column_stack(columns), fmt=fmts, delimiter=",",
                    header=header, comments="")
         assert ours.read_bytes() == oracle.read_bytes()
@@ -445,10 +449,57 @@ class TestWriteTable:
         self.check_against_savetxt(tmp_path, [rng.normal(size=30), np.arange(30)],
                                    [cli.FLOAT_FMT, "%d"])
 
+    def test_repeated_cells_match_savetxt(self, tmp_path, monkeypatch):
+        # cells formatted once per value and repeated, as the fleet tables'
+        # t and vehicle columns are; blocks of 7 rows cut through the groups
+        monkeypatch.setattr(cli, "_ROW_BLOCK", 7)
+        rng = np.random.default_rng(5)
+        t = np.r_[-0.0, 5e-324, 1 / 3, 1e300, rng.uniform(0, 1500, 6)]
+        n_rep = 4
+        v = rng.normal(size=t.size * n_rep)
+        cells = [np.repeat(cli._cells(cli.FLOAT_FMT, t), n_rep),
+                 np.tile(cli._cells("%d", np.arange(n_rep)), t.size), v]
+        self.check_against_savetxt(
+            tmp_path, [np.repeat(t, n_rep), np.tile(np.arange(n_rep), t.size), v],
+            [cli.FLOAT_FMT, "%d", cli.FLOAT_FMT], (cells, ["%s", "%s", cli.FLOAT_FMT]))
+
+    def test_indexed_cells_match_savetxt(self, tmp_path, monkeypatch):
+        # cells picked by index arrays, as the heatmap's t and bin columns are
+        monkeypatch.setattr(cli, "_ROW_BLOCK", 7)
+        rng = np.random.default_rng(6)
+        t = rng.uniform(-1e3, 1e3, 12)
+        rows, bins = rng.integers(0, t.size, 40), rng.integers(-3, 100, 40)
+        v = rng.normal(size=40)
+        cells = [cli._cells(cli.FLOAT_FMT, t)[rows], cli._cells("%d", np.arange(-3, 100))[bins + 3], v]
+        self.check_against_savetxt(tmp_path, [t[rows], bins, v],
+                                   [cli.FLOAT_FMT, "%d", cli.FLOAT_FMT],
+                                   (cells, ["%s", "%s", cli.FLOAT_FMT]))
+
     def test_empty_table_is_header_only(self, tmp_path):
         self.check_against_savetxt(tmp_path, [np.empty(0), np.empty(0, dtype=int)],
                                    [cli.FLOAT_FMT, "%d"])
         assert (tmp_path / "ours.csv").read_text() == "c0,c1\n"
+
+
+class TestRunWork:
+    def test_one_gap_matrix_and_one_stop_scan_per_run(self, tmp_path, monkeypatch):
+        gaps, scans = [], []
+        series_gaps, stop_events = RingSeries.gaps, analysis.stop_events
+
+        def recorded_gaps(series):
+            gaps.append(series_gaps(series))
+            return gaps[-1]
+
+        def counted_stop_events(*args):
+            scans.append(args)
+            return stop_events(*args)
+
+        monkeypatch.setattr(RingSeries, "gaps", recorded_gaps)
+        monkeypatch.setattr(analysis, "stop_events", counted_stop_events)
+        assert run_cli("run", "--preset", "idm", "--t-end", "10", "-o", str(tmp_path)) == 0
+        # fundamental diagram, phase projection and stats share one matrix
+        assert len(gaps) >= 3 and all(g is gaps[0] for g in gaps)
+        assert len(scans) == 1
 
 
 class TestRoundTrip:
@@ -502,6 +553,24 @@ class TestCompare:
         row1 = (out1 / "compare.csv").read_text().splitlines()[1]
         row2 = (out2 / "compare.csv").read_text().splitlines()[1]
         assert row1 == row2
+
+    def test_lambda_cell_marks_only_degenerate_estimates(self, tmp_path, monkeypatch):
+        # -inf stands for an estimate max_lyapunov returned as degenerate; an
+        # exponent never estimated (a series too short) leaves the cell empty
+        out = tmp_path / "short"
+        assert run_cli("compare", "--presets", "idm", "--t-end", "1", "-o", str(out)) == 0
+        stats = json.loads((out / "idm" / "stats.json").read_text())
+        assert stats["lyapunov"]["note"].startswith("series too short")
+        assert (out / "compare.csv").read_text().splitlines()[1].split(",")[1] == ""
+
+        def flat(signal, **_):
+            return analysis._degenerate("constant signal: divergence undefined",
+                                        3, 1, 1, (0, 30), 30.0)
+
+        monkeypatch.setattr(analysis, "max_lyapunov", flat)
+        out = tmp_path / "flat"
+        assert run_cli("compare", "--presets", "idm", "--t-end", "10", "-o", str(out)) == 0
+        assert (out / "compare.csv").read_text().splitlines()[1].split(",")[1] == "-inf"
 
     def test_unknown_preset_rejected(self, capsys):
         assert run_cli("compare", "--presets", "idm,warp") == cli.EXIT_CONFIG

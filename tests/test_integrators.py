@@ -1,9 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from ringsim import integrators
+from ringsim import integrators, ring
 from ringsim.integrators import (
     IntegrationError,
     IntegratorConfig,
@@ -230,6 +231,12 @@ def dde_rhs(t, y, ylag):
     return -ylag
 
 
+def simulate_delayed_ring():
+    """60 s of the stock delayed IDM ring, started far from uniform flow."""
+    scenario = ring.build_uniform_scenario("idm_delayed")
+    return ring.simulate(replace(scenario, t_end=60.0, perturb_amp=0.5))
+
+
 class TestDde:
     def test_first_interval_linear(self):
         # y'(t) = -y(t-1), history 1 on [-1, 0]: y(t) = 1 - t on [0, 1]
@@ -291,8 +298,8 @@ class TestDde:
         # steps that ignore the breakpoints look up uncomputed solution
         advance = integrators._advance
 
-        def no_breakpoints(f, builder, t_end, cfg, h_cap, dom, h_start):
-            return advance(f, builder, 10.0, cfg, cfg.h_max, dom, h_start)
+        def no_breakpoints(f, lagged, builder, t_end, cfg, h_cap, dom, h_start):
+            return advance(f, lagged, builder, 10.0, cfg, cfg.h_max, dom, h_start)
 
         monkeypatch.setattr(integrators, "_advance", no_breakpoints)
         with pytest.raises(AssertionError, match="beyond computed solution"):
@@ -323,6 +330,45 @@ class TestDde:
         for i in range(builder.n):
             t = float(builder.times[i])
             assert np.array_equal(builder.evaluate(t), builder.states[i])
+
+    def test_batched_lookups_match_per_instant(self, monkeypatch):
+        # a step's one lookup over its stage instants gives the bits of one
+        # lookup per instant
+        delayed = simulate_delayed_ring()
+        dense = integrators._dense
+
+        def per_instant(times, states, coeffs, hs, t):
+            t = np.asarray(t, dtype=float)
+            rows = [dense(times, states, coeffs, hs, s) for s in t.ravel()]
+            return np.array(rows).reshape(t.shape + states.shape[1:])
+
+        monkeypatch.setattr(integrators, "_dense", per_instant)
+        oracle = simulate_delayed_ring()
+        assert np.array_equal(delayed.times, oracle.times)
+        assert np.array_equal(delayed.states, oracle.states)
+        assert np.array_equal(delayed._coeffs, oracle._coeffs)
+        assert np.array_equal(delayed._h, oracle._h)
+
+    def test_one_lookup_per_attempted_step(self, monkeypatch):
+        dense, advance = integrators._dense, integrators._advance
+        lookups, builders = [], []
+
+        def counted_dense(*args):
+            lookups.append(np.ndim(args[-1]))
+            return dense(*args)
+
+        def counted_advance(f, lagged, builder, *rest):
+            builders.append(builder)
+            return advance(f, lagged, builder, *rest)
+
+        monkeypatch.setattr(integrators, "_dense", counted_dense)
+        monkeypatch.setattr(integrators, "_advance", counted_advance)
+        traj = simulate_delayed_ring()
+        intervals = len(builders)
+        assert intervals == 120  # 60 s at tau = 0.5 s
+        assert set(lookups) == {1}
+        assert len(lookups) <= builders[0].attempts + intervals
+        assert builders[0].attempts >= traj.times.size - 1
 
     def test_initial_state_from_history(self):
         traj = integrate_dde(dde_rhs, lambda t: [2.5], 1.0, (0.0, 0.0))

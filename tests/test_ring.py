@@ -414,6 +414,15 @@ class TestRingSeries:
         series = sample(simulate(sc, TIGHT), sc)
         assert np.allclose(series.gaps().sum(axis=1), 100.0, rtol=1e-9)
 
+    def test_gaps_computed_once_read_only(self):
+        sc = replace(build_uniform_scenario("idm"), t_end=2.0)
+        series = sample(simulate(sc, TIGHT), sc)
+        gaps = series.gaps()
+        assert series.gaps() is gaps
+        assert not gaps.flags.writeable
+        pos = series.positions
+        assert np.array_equal(gaps, (np.roll(pos, 1, axis=1) - pos) % 100.0)
+
     def test_rows_equal_dense_output(self, monkeypatch):
         # 1801 instants in blocks of 7, the last one partial
         monkeypatch.setattr(ring, "_SAMPLE_BLOCK", 7)
