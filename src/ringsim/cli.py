@@ -329,7 +329,7 @@ def compute_stats(cfg: RunConfig, traj, series, stops) -> dict:
     first_stop = stops[0][0] if stops else None
     after_settle = [e for e in stops if e[0] > an.settle_window_s]
     final = series.window(series.times[-1] - an.final_window_s)
-    final_v_std = float(final.velocities.std(axis=1).max()) if final.times.size else 0.0
+    final_v_std = float(final.velocities.std(axis=1).max())
 
     collision = traj.status == "terminated"
     collision_time = traj.events[-1][0] if collision else None
@@ -378,15 +378,8 @@ def compute_stats(cfg: RunConfig, traj, series, stops) -> dict:
     }
     if lyap is not None:
         stats["lyapunov"] = {
-            "embed_dim": lyap.embed_dim,
-            "lag": lyap.lag,
-            "min_separation": lyap.min_separation,
-            "fit_range": list(lyap.fit_range),
-            "n_reference": lyap.n_reference,
-            "n_points": lyap.n_points,
-            "n_zero_distance": lyap.n_zero_distance,
-            "degenerate": lyap.degenerate,
-            "note": lyap.note,
+            f.name: getattr(lyap, f.name) for f in dataclasses.fields(lyap)
+            if f.name not in ("lambda_max", "sample_rate", "divergence_curve")
         }
     else:
         stats["lyapunov"] = {"degenerate": True, "note": lyap_error or "not computed"}

@@ -3,10 +3,11 @@
 An embedded Dormand-Prince 5(4) Runge-Kutta stepper with PI step-size
 control and a 4th-order dense-output interpolant drives both entry points:
 :func:`integrate_ode` for plain initial-value problems and
-:func:`integrate_dde` for systems with a single constant lag, solved by the
-method of steps (each lag-length interval is integrated with delayed
-lookups served from the history function or from the dense interpolant of
-already-completed steps).
+:func:`integrate_dde` for systems with a single constant lag whose state
+before t0 is the initial state. One driver solves both by the method of
+steps: each lag-length interval is integrated with delayed lookups read off
+the dense interpolant of already-completed steps, a delayed instant before
+t0 being clamped to t0. An ODE is the lag-free case, one interval long.
 
 One evaluator reads every state off a trajectory, at a scalar instant or
 at a 1-d array of them: the delayed lookups while integrating,
@@ -19,6 +20,7 @@ t + h); the ODE path lags nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -367,20 +369,31 @@ def _advance(f, lagged, builder, t_end, cfg, h_cap, dom, h_start):
     return "completed", h
 
 
-def _start(y0, t_span, cfg: IntegratorConfig | None):
-    """Start-up shared by both integrators.
+def _integrate(f, y0, tau, t_span, cfg, dom) -> Trajectory:
+    """dy/dt = f(t, y, y(t - tau)), with y = y0 before t0, by the method of steps.
 
-    Returns (cfg, builder, t_end, done): cfg with its default filled in, a
-    builder holding the initial state, and done, the finished Trajectory
-    when the span is empty, else None. An empty span evaluates nothing.
+    Each lag-length interval ends at a breakpoint t0 + k*tau, where the
+    derivative may jump. Steps never cross it or exceed tau, so a delayed
+    instant, clamped to t0, always lands in completed steps, and t0 reads
+    the stored y0 exactly. An ODE is the lag-free case tau = inf: one
+    interval, steps capped at h_max, no delayed state. An empty span
+    evaluates nothing.
     """
     cfg = cfg or IntegratorConfig()
     t0, t_end = float(t_span[0]), float(t_span[1])
     if t_end < t0:
         raise ValueError("backward integration is not supported")
-    y0 = np.asarray(y0, dtype=float).copy()
-    builder = _Builder(t0, y0, cfg.max_steps)
-    return cfg, builder, t_end, builder.finish("completed") if t_end == t0 else None
+    builder = _Builder(t0, np.asarray(y0, dtype=float), cfg.max_steps)
+    past = _no_lag if tau == math.inf else (
+        lambda ts: builder.evaluate(np.maximum(ts - tau, t0)))
+    h_cap = min(cfg.h_max, tau)
+    status, h_next, k = "completed", cfg.h_init, 1
+    while status == "completed" and builder.t_last < t_end:
+        stop = min(t0 + k * tau, t_end)
+        if stop > builder.t_last:
+            status, h_next = _advance(f, past, builder, stop, cfg, h_cap, dom, h_next)
+        k += 1
+    return builder.finish(status)
 
 
 def integrate_ode(f, y0, t_span, cfg: IntegratorConfig | None = None,
@@ -393,53 +406,19 @@ def integrate_ode(f, y0, t_span, cfg: IntegratorConfig | None = None,
         as its event, when y0 raises it or the step falls below its floor
         before another step is accepted.
     """
-    cfg, builder, t_end, done = _start(y0, t_span, cfg)
-    if done is not None:
-        return done
-    status, _ = _advance(lambda t, y, _: f(t, y), _no_lag, builder, t_end, cfg,
-                         cfg.h_max, domain_error, cfg.h_init)
-    return builder.finish(status)
+    return _integrate(lambda t, y, _: f(t, y), y0, math.inf, t_span, cfg, domain_error)
 
 
-def integrate_dde(f, history, tau: float, t_span,
+def integrate_dde(f, y0, tau: float, t_span,
                   cfg: IntegratorConfig | None = None,
                   domain_error=()) -> Trajectory:
-    """Integrate dy/dt = f(t, y, y(t - tau)) by the method of steps.
+    """Integrate dy/dt = f(t, y, y(t - tau)), with y = y0 for t <= t0.
 
-    history : callable t -> state for t <= t0; the initial state is
-        history(t0). The lag tau must be positive.
-
-    Integration proceeds one lag-length interval at a time, hard-stopping
-    at every breakpoint t0 + k*tau (where the solution's derivative may be
-    discontinuous). Steps never cross the current interval boundary, so a
-    delayed lookup always lands in history or in already-completed steps.
-    domain_error is handled as in :func:`integrate_ode`.
+    The lag tau must be positive and finite. Steps stop at every breakpoint
+    t0 + k*tau and never exceed tau. domain_error is handled as in
+    :func:`integrate_ode`.
     """
-    if not tau > 0:
-        raise ValueError("tau must be positive; use integrate_ode when there is no lag")
-    t0 = float(t_span[0])
-    cfg, builder, t_end, done = _start(history(t0), t_span, cfg)
-    if done is not None:
-        return done
-
-    def past(ts):
-        """States at the ascending instants ts - tau: from history at or
-        before t0, the rest in one lookup."""
-        s = ts - tau
-        if s[0] > t0:
-            return builder.evaluate(s)
-        z = np.empty((s.size, builder.y_last.size))
-        old = s <= t0
-        z[old] = [history(si) for si in s[old]]
-        if not old.all():
-            z[~old] = builder.evaluate(s[~old])
-        return z
-
-    h_cap = min(cfg.h_max, tau)
-    status, h_next, k = "completed", cfg.h_init, 1
-    while status == "completed" and builder.t_last < t_end:
-        stop = min(t0 + k * tau, t_end)
-        if stop > builder.t_last:
-            status, h_next = _advance(f, past, builder, stop, cfg, h_cap, domain_error, h_next)
-        k += 1
-    return builder.finish(status)
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite; "
+                         "use integrate_ode when there is no lag")
+    return _integrate(f, y0, tau, t_span, cfg, domain_error)

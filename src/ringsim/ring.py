@@ -260,7 +260,7 @@ def simulate(scenario: RingScenario,
     The initial state is the equally spaced fleet with the scenario's
     perturbation applied (or the explicit z0 override). The delay path is
     taken exactly when tau > 0, with the perturbed initial state held
-    constant as history. A collision ends the run "terminated", with its
+    constant before t = 0. A collision ends the run "terminated", with its
     CollisionError as the event.
     """
     if z0 is None:
@@ -273,7 +273,7 @@ def simulate(scenario: RingScenario,
     if scenario.tau > 0:
         return integrators.integrate_dde(
             lambda t, z, zlag: _deriv(z, zlag, fleet),
-            history=lambda t: z0,
+            z0,
             tau=scenario.tau,
             t_span=(0.0, scenario.t_end),
             cfg=cfg,

@@ -279,7 +279,7 @@ class TestNumericsCriteria:
             hs.append(1.0 / (len(traj.times) - 1))
         order = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
 
-        traj = integrate_dde(lambda t, y, ylag: -ylag, lambda t: [1.0], 1.0,
+        traj = integrate_dde(lambda t, y, ylag: -ylag, [1.0], 1.0,
                              (0.0, 2.0), IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12))
         worst = 0.0
         for t in np.linspace(0.0, 2.0, 81):

@@ -188,7 +188,7 @@ class TestTerminalAndDomain:
             raise _Boom("outside")
 
         if delayed:
-            traj = integrate_dde(f, lambda t: [5.0], 1.0, (0.0, 10.0), domain_error=_Boom)
+            traj = integrate_dde(f, [5.0], 1.0, (0.0, 10.0), domain_error=_Boom)
         else:
             traj = integrate_ode(f, [5.0], (0.0, 10.0), domain_error=_Boom)
         assert traj.status == "terminated"
@@ -240,36 +240,36 @@ def simulate_delayed_ring():
 class TestDde:
     def test_first_interval_linear(self):
         # y'(t) = -y(t-1), history 1 on [-1, 0]: y(t) = 1 - t on [0, 1]
-        traj = integrate_dde(dde_rhs, lambda t: [1.0], 1.0, (0.0, 1.0), TIGHT)
+        traj = integrate_dde(dde_rhs, [1.0], 1.0, (0.0, 1.0), TIGHT)
         for t in np.linspace(0.0, 1.0, 21):
             assert abs(traj.evaluate(t)[0] - (1.0 - t)) < 1e-9
 
     def test_second_interval_quadratic(self):
         # on [1, 2]: y(t) = 1 - t + (t-1)^2/2
-        traj = integrate_dde(dde_rhs, lambda t: [1.0], 1.0, (0.0, 2.0), TIGHT)
+        traj = integrate_dde(dde_rhs, [1.0], 1.0, (0.0, 2.0), TIGHT)
         for t in np.linspace(1.0, 2.0, 21):
             exact = 1.0 - t + (t - 1.0) ** 2 / 2.0
             assert abs(traj.evaluate(t)[0] - exact) < 1e-9
         assert abs(traj.evaluate(2.0)[0] - (-0.5)) < 1e-9
 
     def test_breakpoints_are_step_endpoints(self):
-        traj = integrate_dde(dde_rhs, lambda t: [1.0], 0.3, (0.0, 1.0), TIGHT)
+        traj = integrate_dde(dde_rhs, [1.0], 0.3, (0.0, 1.0), TIGHT)
         for k in (1, 2, 3):
             assert np.isclose(traj.times, 0.3 * k, rtol=0, atol=1e-12).any()
 
     def test_step_size_never_exceeds_lag(self):
         cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9, h_max=5.0)
-        traj = integrate_dde(dde_rhs, lambda t: [1.0], 0.5, (0.0, 4.0), cfg)
+        traj = integrate_dde(dde_rhs, [1.0], 0.5, (0.0, 4.0), cfg)
         assert np.max(np.diff(traj.times)) <= 0.5 + 1e-12
 
     def test_long_lag_degenerates_to_frozen_input(self):
         # lag beyond the span: identical to an ODE with the delayed state
-        # frozen at the history value
-        history_val = np.array([0.7])
+        # frozen at the initial value
+        y0 = np.array([0.7])
         cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9, h_max=0.2)
-        dde = integrate_dde(lambda t, y, ylag: -y + ylag, lambda t: history_val,
+        dde = integrate_dde(lambda t, y, ylag: -y + ylag, y0,
                             tau=50.0, t_span=(0.0, 2.0), cfg=cfg)
-        ode = integrate_ode(lambda t, y: -y + history_val, history_val,
+        ode = integrate_ode(lambda t, y: -y + y0, y0,
                             (0.0, 2.0), cfg)
         assert np.array_equal(dde.times, ode.times)
         assert np.array_equal(dde.states, ode.states)
@@ -279,10 +279,10 @@ class TestDde:
         # steps then span whole lag intervals, and the delayed instant of
         # the last stage, t + h - tau, can round past the last breakpoint
         cfg = IntegratorConfig(h_max=h_max)
-        traj = integrate_dde(dde_rhs, lambda t: [1.0], 0.3, (0.0, 10.0), cfg)
+        traj = integrate_dde(dde_rhs, [1.0], 0.3, (0.0, 10.0), cfg)
         assert traj.status == "completed"
         assert traj.t_end == 10.0
-        ref = integrate_dde(dde_rhs, lambda t: [1.0], 0.3, (0.0, 10.0), TIGHT)
+        ref = integrate_dde(dde_rhs, [1.0], 0.3, (0.0, 10.0), TIGHT)
         assert abs(traj.states[-1, 0] - ref.states[-1, 0]) < 1e-3
 
     def test_lookup_past_last_instant(self):
@@ -303,12 +303,17 @@ class TestDde:
 
         monkeypatch.setattr(integrators, "_advance", no_breakpoints)
         with pytest.raises(AssertionError, match="beyond computed solution"):
-            integrate_dde(dde_rhs, lambda t: [1.0], 0.3, (0.0, 10.0),
+            integrate_dde(dde_rhs, [1.0], 0.3, (0.0, 10.0),
                           IntegratorConfig(h_max=10.0))
 
     def test_nonpositive_lag_rejected(self):
         with pytest.raises(ValueError):
-            integrate_dde(dde_rhs, lambda t: [1.0], 0.0, (0.0, 1.0))
+            integrate_dde(dde_rhs, [1.0], 0.0, (0.0, 1.0))
+
+    @pytest.mark.parametrize("tau", [math.inf, math.nan])
+    def test_non_finite_lag_rejected(self, tau):
+        with pytest.raises(ValueError, match="finite"):
+            integrate_dde(dde_rhs, [1.0], tau, (0.0, 1.0))
 
     def test_lookups_return_stored_states_exactly(self, monkeypatch):
         # every stored instant sits at theta = 0 of its own step; the newest
@@ -324,7 +329,7 @@ class TestDde:
 
         monkeypatch.setattr(integrators._Builder, "append", checked_append)
         cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, h_max=0.1)
-        integrate_dde(dde_rhs, lambda t: [1.0, 0.5], 0.3, (0.0, 60.0), cfg)
+        integrate_dde(dde_rhs, [1.0, 0.5], 0.3, (0.0, 60.0), cfg)
         (builder,) = builders
         assert builder.n > 512  # outgrew the storage the builder starts with
         for i in range(builder.n):
@@ -367,10 +372,12 @@ class TestDde:
         intervals = len(builders)
         assert intervals == 120  # 60 s at tau = 0.5 s
         assert set(lookups) == {1}
-        assert len(lookups) <= builders[0].attempts + intervals
+        # one per attempted step, one per interval start and one for the
+        # probe that picks the initial step size
+        assert len(lookups) == builders[0].attempts + intervals + 1
         assert builders[0].attempts >= traj.times.size - 1
 
     def test_initial_state_from_history(self):
-        traj = integrate_dde(dde_rhs, lambda t: [2.5], 1.0, (0.0, 0.0))
+        traj = integrate_dde(dde_rhs, [2.5], 1.0, (0.0, 0.0))
         assert traj.states[0, 0] == 2.5
 
