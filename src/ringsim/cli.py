@@ -6,6 +6,9 @@ config file) and writes the full artifact set into an output directory;
 table. Every artifact is plain delimited text or JSON; floats are written
 with 17 significant digits so re-parsing reproduces them bit-exactly, and
 the emitted manifest is itself a loadable config that reproduces the run.
+Each enabled table of a run is written by its own forked writer process
+while the run's stats are computed, so writing a run needs POSIX
+``os.fork``; the files are the same bytes a serial writer would give.
 
 Exit codes: 0 success, 2 configuration error, 3 collision-terminated run,
 4 solver failure.
@@ -20,6 +23,7 @@ import json
 import math
 import os
 import sys
+import traceback
 import typing
 from dataclasses import dataclass
 
@@ -271,21 +275,50 @@ def _write_table(path, header: str, columns, fmts) -> None:
             fh.write("".join(fmt % row for row in zip(*block)))
 
 
-def write_artifacts(out_dir: str, cfg: RunConfig, traj, series) -> dict:
-    """Write every enabled artifact; returns the stats mapping."""
-    os.makedirs(out_dir, exist_ok=True)
+def _fork_writer(path, header: str, columns, fmts) -> int:
+    """Fork a child that writes one table with _write_table; returns its pid.
+
+    The child only formats and writes, never numpy's threaded linear
+    algebra. It leaves through os._exit: 0 on success, 1 after printing
+    the traceback to stderr on any exception. So it never returns into the
+    caller's code or runs its atexit handlers.
+    """
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            _write_table(path, header, columns, fmts)
+            code = 0
+        except BaseException:
+            traceback.print_exc()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
+    return pid
+
+
+def _fork_tables(writers: dict, out_dir: str, cfg: RunConfig, series) -> None:
+    """Build every enabled table's columns and fork its writer, recording
+    each writer in writers as pid -> file name.
+
+    A table's columns are dropped as soon as its writer is forked, so the
+    caller's later work does not hold them.
+    """
     out = cfg.outputs
+    if not (out.trajectory or out.fd or out.heatmap or out.phase):
+        return
     n_t, n_veh = series.velocities.shape
-    if out.trajectory or out.fd or out.heatmap or out.phase:
-        # each instant's time and each vehicle index is formatted once per run
-        t_cells = _cells(FLOAT_FMT, series.times)
-        fleet = [np.repeat(t_cells, n_veh), np.tile(_cells("%d", np.arange(n_veh)), n_t)]
+    # each instant's time and each vehicle index is formatted once per run
+    t_cells = _cells(FLOAT_FMT, series.times)
+    fleet = [np.repeat(t_cells, n_veh), np.tile(_cells("%d", np.arange(n_veh)), n_t)]
+
+    def fork(name, header, columns, fmts):
+        writers[_fork_writer(os.path.join(out_dir, name), header, columns, fmts)] = name
 
     def fleet_table(name, header, *tables):
         """One row per vehicle per instant: t, vehicle, then the tables' values."""
-        _write_table(os.path.join(out_dir, name), "t_s,vehicle," + header,
-                     fleet + [a.ravel() for a in tables],
-                     ["%s", "%s"] + [FLOAT_FMT] * len(tables))
+        fork(name, "t_s,vehicle," + header, fleet + [a.ravel() for a in tables],
+             ["%s", "%s"] + [FLOAT_FMT] * len(tables))
 
     if out.trajectory:
         fleet_table("trajectory.csv", "x_m,v_m_per_s", series.positions, series.velocities)
@@ -295,24 +328,55 @@ def write_artifacts(out_dir: str, cfg: RunConfig, traj, series) -> dict:
     if out.heatmap:
         grid, _ = analysis.heatmap_grid(series, cfg.analysis.heatmap_bins)
         rows, bins = np.nonzero(np.isfinite(grid))
-        _write_table(os.path.join(out_dir, "heatmap.csv"), "t_s,bin,mean_v_m_per_s",
-                     [t_cells[rows], _cells("%d", np.arange(grid.shape[1]))[bins],
-                      grid[rows, bins]], ["%s", "%s", FLOAT_FMT])
+        fork("heatmap.csv", "t_s,bin,mean_v_m_per_s",
+             [t_cells[rows], _cells("%d", np.arange(grid.shape[1]))[bins], grid[rows, bins]],
+             ["%s", "%s", FLOAT_FMT])
+        del grid, rows, bins
     if out.phase:
         fleet_table("phase.csv", "gap_m,dv_m_per_s", *analysis.phase_projection(series))
 
-    stops = analysis.stop_events(series, cfg.analysis.stop_speed)
-    stats = compute_stats(cfg, traj, series, stops)
-    _write_json(os.path.join(out_dir, "stats.json"), stats)
 
-    # stop rows first, then the collision that ended the run, if any; with
-    # no events the table is the header alone
-    events = [(t, "stop", veh) for t, veh in stops]
-    events += [(t, "collision", exc.vehicle) for t, exc in traj.events]
-    _write_table(os.path.join(out_dir, "events.csv"), "t_s,event,vehicle",
-                 list(zip(*events)) or [()] * 3, [FLOAT_FMT, "%s", "%d"])
+def _reap(writers: dict) -> list[str]:
+    """Wait for every writer; returns a message for each one that failed."""
+    failed = []
+    for pid, name in writers.items():
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code:
+            how = f"signal {-code}" if code < 0 else f"exit code {code}"
+            failed.append(f"writer of {name} failed ({how})")
+    return failed
 
-    _write_json(os.path.join(out_dir, "manifest.json"), _manifest(cfg))
+
+def write_artifacts(out_dir: str, cfg: RunConfig, traj, series) -> dict:
+    """Write every enabled artifact; returns the stats mapping.
+
+    Each enabled table (trajectory, fd, heatmap, phase) is built here and
+    written by its own forked writer process, while this process computes
+    the stats and writes events.csv, stats.json and manifest.json. Every
+    writer is reaped before this returns or raises. A failed writer raises
+    OSError naming its file, unless an exception is already propagating.
+    Needs POSIX os.fork.
+    """
+    os.makedirs(out_dir, exist_ok=True)
+    writers = {}  # pid -> table file name
+    try:
+        _fork_tables(writers, out_dir, cfg, series)
+        stops = analysis.stop_events(series, cfg.analysis.stop_speed)
+        stats = compute_stats(cfg, traj, series, stops)
+        _write_json(os.path.join(out_dir, "stats.json"), stats)
+
+        # stop rows first, then the collision that ended the run, if any;
+        # with no events the table is the header alone
+        events = [(t, "stop", veh) for t, veh in stops]
+        events += [(t, "collision", exc.vehicle) for t, exc in traj.events]
+        _write_table(os.path.join(out_dir, "events.csv"), "t_s,event,vehicle",
+                     list(zip(*events)) or [()] * 3, [FLOAT_FMT, "%s", "%d"])
+
+        _write_json(os.path.join(out_dir, "manifest.json"), _manifest(cfg))
+    finally:
+        failed = _reap(writers)
+    if failed:
+        raise OSError(f"{out_dir}: " + "; ".join(failed))
     return stats
 
 

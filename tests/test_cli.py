@@ -44,6 +44,9 @@ ARTIFACTS = {
     "stats.json", "events.csv", "manifest.json",
 }
 
+TABLES = ("trajectory", "fd", "heatmap", "phase")
+TABLE_FILES = {f"{t}.csv" for t in TABLES}
+
 HEADERS = {
     "trajectory.csv": "t_s,vehicle,x_m,v_m_per_s",
     "fd.csv": "t_s,vehicle,k_cars_per_m,q_cars_per_s,v_m_per_s",
@@ -500,6 +503,73 @@ class TestRunWork:
         # fundamental diagram, phase projection and stats share one matrix
         assert len(gaps) >= 3 and all(g is gaps[0] for g in gaps)
         assert len(scans) == 1
+
+
+def assert_no_child_left():
+    # no child process at all, running or unreaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestTableWriters:
+    def test_forked_tables_equal_in_process_writer(self, tmp_path, monkeypatch):
+        calls = []
+        fork_writer = cli._fork_writer
+
+        def recorded(path, header, columns, fmts):
+            calls.append((path, header, columns, fmts))
+            return fork_writer(path, header, columns, fmts)
+
+        monkeypatch.setattr(cli, "_fork_writer", recorded)
+        out = tmp_path / "out"
+        assert run_cli("run", "--preset", "idm_delayed", "--t-end", "30", "-o", str(out)) == 0
+        assert sorted(os.path.basename(c[0]) for c in calls) == sorted(TABLE_FILES)
+        for path, header, columns, fmts in calls:
+            serial = tmp_path / "serial.csv"
+            cli._write_table(str(serial), header, columns, fmts)
+            assert open(path, "rb").read() == serial.read_bytes(), path
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("tables", [True, False])
+    def test_one_fork_per_enabled_table(self, tmp_path, monkeypatch, tables):
+        forks = []
+        fork = os.fork
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        cfg = {"scenario": {"preset": "idm", "t_end": 5.0},
+               "outputs": dict.fromkeys(TABLES, tables)}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(path), "-o", str(out)) == 0
+        assert len(forks) == (4 if tables else 0)
+        assert (set(TABLE_FILES) <= set(os.listdir(out))) is tables
+        assert_no_child_left()
+
+    def test_failed_writer_raises_after_the_rest_is_written(self, tmp_path, capfd):
+        out = tmp_path / "out"
+        (out / "fd.csv").mkdir(parents=True)
+        with pytest.raises(OSError, match=r"fd\.csv"):
+            run_cli("run", "--preset", "idm", "--t-end", "12", "-o", str(out))
+        assert_no_child_left()
+        assert "IsADirectoryError" in capfd.readouterr().err
+        ref = tmp_path / "ref"
+        assert run_cli("run", "--preset", "idm", "--t-end", "12", "-o", str(ref)) == 0
+        for name in ARTIFACTS - {"fd.csv"}:
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name
+
+    def test_stats_error_propagates_and_writers_are_reaped(self, tmp_path, monkeypatch):
+        def broken(*args):
+            raise ZeroDivisionError("stats failed")
+
+        monkeypatch.setattr(cli, "compute_stats", broken)
+        with pytest.raises(ZeroDivisionError, match="stats failed"):
+            run_cli("run", "--preset", "idm", "--t-end", "12", "-o", str(tmp_path))
+        assert_no_child_left()
 
 
 class TestRoundTrip:
