@@ -413,24 +413,25 @@ def phase_projection(series: RingSeries) -> tuple[np.ndarray, np.ndarray]:
 
 
 def heatmap_grid(series: RingSeries, n_bins: int = 100):
-    """Mean speed per (instant, position bin); empty cells are NaN.
+    """Mean speed of each occupied (instant, position bin) cell.
 
-    Returns (grid, bin_edges) with grid of shape (n_samples, n_bins).
+    Returns (rows, bins, mean_v): the sample index, bin index and mean speed
+    of every cell holding at least one vehicle, in row-major cell order.
+    Empty cells are not returned, so memory does not grow with n_bins.
     """
     if n_bins < 1:
         raise ValueError("n_bins must be at least 1")
-    length = series.ring_length
-    edges = np.linspace(0.0, length, n_bins + 1)
-    bins = np.minimum((series.positions / (length / n_bins)).astype(int), n_bins - 1)
     n_t = series.times.size
+    if n_t * int(n_bins) >= 2**63:
+        raise ValueError(f"{n_t} samples x {n_bins} bins overflow the int64 cell index")
+    length = series.ring_length
+    bins = np.minimum((series.positions / (length / n_bins)).astype(int), n_bins - 1)
     # Sum over the occupied cells only (at most one per vehicle per instant);
     # bincount adds each cell's speeds in input order, as np.add.at does.
     cells, which = np.unique((np.arange(n_t)[:, None] * n_bins + bins).ravel(),
                              return_inverse=True)
-    grid = np.full((n_t, n_bins), np.nan)
-    grid.flat[cells] = (np.bincount(which, weights=series.velocities.ravel())
-                        / np.bincount(which))
-    return grid, edges
+    rows, bins = np.divmod(cells, n_bins)
+    return rows, bins, np.bincount(which, weights=series.velocities.ravel()) / np.bincount(which)
 
 
 def stop_events(series: RingSeries, v_stop: float = 0.1) -> list[tuple[float, int]]:

@@ -326,12 +326,10 @@ def _fork_tables(writers: dict, out_dir: str, cfg: RunConfig, series) -> None:
         fleet_table("fd.csv", "k_cars_per_m,q_cars_per_s,v_m_per_s",
                     *analysis.fundamental_diagram(series), series.velocities)
     if out.heatmap:
-        grid, _ = analysis.heatmap_grid(series, cfg.analysis.heatmap_bins)
-        rows, bins = np.nonzero(np.isfinite(grid))
+        rows, bins, mean_v = analysis.heatmap_grid(series, cfg.analysis.heatmap_bins)
         fork("heatmap.csv", "t_s,bin,mean_v_m_per_s",
-             [t_cells[rows], _cells("%d", np.arange(grid.shape[1]))[bins], grid[rows, bins]],
-             ["%s", "%s", FLOAT_FMT])
-        del grid, rows, bins
+             [t_cells[rows], bins, mean_v], ["%s", "%d", FLOAT_FMT])
+        del rows, bins, mean_v
     if out.phase:
         fleet_table("phase.csv", "gap_m,dv_m_per_s", *analysis.phase_projection(series))
 
@@ -404,7 +402,7 @@ def compute_stats(cfg: RunConfig, traj, series, stops) -> dict:
         # the samples stop short of the touching state; the last accepted
         # state is the closest to it
         x = traj.states[-1, 0::2]
-        min_gap = min(min_gap, float(((np.roll(x, 1) - x) % sc.ring_length).min()))
+        min_gap = min(min_gap, float(((x[series.leader_index()] - x) % sc.ring_length).min()))
         max_density = max(max_density, 1.0 / min_gap)
         lyap_error = (f"not computed: run terminated by a collision of vehicle "
                       f"{traj.events[-1][1].vehicle} at t={float(collision_time)!r}")

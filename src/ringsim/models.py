@@ -145,10 +145,7 @@ class FsParams:
             raise ValueError("FsParams.omega must be strictly increasing and positive")
         if not all(g > 0 for g in self.alpha):
             raise ValueError("FsParams.alpha must all be positive")
-        q = np.minimum(0.0, _FS_DV_CHECK_GRID) ** 2 / 2.0
-        d1 = self.omega[0] + q / self.alpha[0]
-        d2 = self.omega[1] + q / self.alpha[1]
-        d3 = self.omega[2] + q / self.alpha[2]
+        d1, d2, d3 = _fs_boundaries(_FS_DV_CHECK_GRID, self)
         bad = np.nonzero(~((d1 < d2) & (d2 < d3)))[0]
         if bad.size:
             dv = _FS_DV_CHECK_GRID[bad[0]]

@@ -167,10 +167,15 @@ def apply_perturbation(z: np.ndarray, amp: float, seed: int) -> np.ndarray:
     return out
 
 
+def _leaders(n: int) -> np.ndarray:
+    """Index of each vehicle's leader: vehicle i follows vehicle i-1."""
+    return (np.arange(n) - 1) % n
+
+
 class _Fleet:
     """Per-run arrays of a scenario, built once and read by every RHS call.
 
-    leaders : index of each vehicle's leader (vehicle i follows i-1)
+    leaders : index of each vehicle's leader (see _leaders)
     idm : IDM coefficient columns over all vehicles; a FollowerStopper
         vehicle carries the default IdmParams, and its IDM value is
         replaced by its own law
@@ -180,9 +185,8 @@ class _Fleet:
     """
 
     def __init__(self, scenario: RingScenario, z0: np.ndarray | None = None):
-        n = scenario.n_vehicles
         self.length = scenario.ring_length
-        self.leaders = (np.arange(n) - 1) % n
+        self.leaders = _leaders(scenario.n_vehicles)
         params = scenario.controllers
         self.idm = IdmColumns.stack(
             [p if isinstance(p, IdmParams) else IdmParams() for p in params])
@@ -308,8 +312,7 @@ class RingSeries:
         return self.positions.shape[1]
 
     def leader_index(self) -> np.ndarray:
-        n = self.n_vehicles
-        return (np.arange(n) - 1) % n
+        return _leaders(self.n_vehicles)
 
     def gaps(self) -> np.ndarray:
         """Per-sample circular gap to each vehicle's leader.

@@ -359,19 +359,20 @@ class TestPhaseProjection:
 
 class TestHeatmap:
     def test_uniform_speed_everywhere(self):
-        grid, edges = heatmap_grid(uniform_series(), n_bins=100)
-        assert grid.shape == (60, 100)
-        assert edges[0] == 0.0 and edges[-1] == 100.0
-        occupied = np.isfinite(grid)
-        assert np.all(grid[occupied] == 5.0)
-        assert occupied.sum(axis=1).max() <= 10
+        rows, bins, mean_v = heatmap_grid(uniform_series(), n_bins=100)
+        assert np.all(mean_v == 5.0)
+        assert np.all((bins >= 0) & (bins < 100))
+        assert np.all(np.diff(rows * 100 + bins) > 0)  # row-major, each cell once
+        assert np.bincount(rows, minlength=60).max() <= 10
+        assert np.unique(rows).size == 60
 
     def test_single_bin_is_fleet_mean(self):
         series = uniform_series()
         rng = np.random.default_rng(2)
         series.velocities = rng.uniform(0, 10, series.velocities.shape)
-        grid, _ = heatmap_grid(series, n_bins=1)
-        assert np.allclose(grid[:, 0], series.velocities.mean(axis=1))
+        rows, bins, mean_v = heatmap_grid(series, n_bins=1)
+        assert np.array_equal(rows, np.arange(60)) and np.all(bins == 0)
+        assert np.allclose(mean_v, series.velocities.mean(axis=1))
 
     def test_matches_add_at_oracle(self):
         # vehicles crowded into few bins: cells hold several speeds, whose
@@ -387,13 +388,39 @@ class TestHeatmap:
         np.add.at(counts, (rows, bins.ravel()), 1.0)
         with np.errstate(invalid="ignore"):
             oracle = sums / counts
-        grid, _ = heatmap_grid(series, n_bins)
+        cell_rows, cell_bins, mean_v = heatmap_grid(series, n_bins)
         assert (counts > 1).any() and (counts == 0).any()
+        # exactly the occupied cells, in row-major order
+        assert np.array_equal(cell_rows * n_bins + cell_bins, np.flatnonzero(counts))
+        grid = np.full((n_t, n_bins), np.nan)
+        grid[cell_rows, cell_bins] = mean_v
         assert np.array_equal(grid, oracle, equal_nan=True)
 
     def test_empty_cells_marked(self):
-        grid, _ = heatmap_grid(uniform_series(n_veh=2), n_bins=50)
-        assert np.isnan(grid).any()
+        rows, _, _ = heatmap_grid(uniform_series(n_veh=2), n_bins=50)
+        assert rows.size < 60 * 50
+
+    def test_memory_does_not_grow_with_bins(self):
+        series = uniform_series(n_t=31)
+        tracemalloc.start()
+        try:
+            rows, _, _ = heatmap_grid(series, n_bins=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows.size == 31 * 10
+        # a dense float64 grid would take 31 * 10**6 * 8 bytes = 248 MB
+        assert peak < 1 << 20
+
+    def test_cell_index_overflow_raises(self):
+        series = uniform_series(n_t=2)
+        for n_bins in (2**62, 3 * 2**61):  # the first count that raises; one that wraps
+            with pytest.raises(ValueError, match="int64"):
+                heatmap_grid(series, n_bins)
+        # the largest count that fits still puts each cell in its own row
+        rows, bins, _ = heatmap_grid(series, n_bins=2**62 - 1)
+        assert np.array_equal(rows, np.repeat([0, 1], 10))
+        assert np.all((bins >= 0) & (bins < 2**62 - 1))
 
     def test_bad_bins(self):
         with pytest.raises(ValueError):

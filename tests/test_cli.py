@@ -467,16 +467,17 @@ class TestWriteTable:
             [cli.FLOAT_FMT, "%d", cli.FLOAT_FMT], (cells, ["%s", "%s", cli.FLOAT_FMT]))
 
     def test_indexed_cells_match_savetxt(self, tmp_path, monkeypatch):
-        # cells picked by index arrays, as the heatmap's t and bin columns are
+        # the heatmap's cells form: the t column picked from formatted cells
+        # by each cell's sample index, the bin indices formatted with "%d"
         monkeypatch.setattr(cli, "_ROW_BLOCK", 7)
         rng = np.random.default_rng(6)
         t = rng.uniform(-1e3, 1e3, 12)
         rows, bins = rng.integers(0, t.size, 40), rng.integers(-3, 100, 40)
         v = rng.normal(size=40)
-        cells = [cli._cells(cli.FLOAT_FMT, t)[rows], cli._cells("%d", np.arange(-3, 100))[bins + 3], v]
         self.check_against_savetxt(tmp_path, [t[rows], bins, v],
                                    [cli.FLOAT_FMT, "%d", cli.FLOAT_FMT],
-                                   (cells, ["%s", "%s", cli.FLOAT_FMT]))
+                                   ([cli._cells(cli.FLOAT_FMT, t)[rows], bins, v],
+                                    ["%s", "%d", cli.FLOAT_FMT]))
 
     def test_empty_table_is_header_only(self, tmp_path):
         self.check_against_savetxt(tmp_path, [np.empty(0), np.empty(0, dtype=int)],
