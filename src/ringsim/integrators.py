@@ -15,7 +15,10 @@ at a 1-d array of them: the delayed lookups while integrating,
 :func:`ringsim.ring.sample`. One stage loop serves both entry points. Each
 attempted step reads the delayed states of all its stages in one lookup,
 over the step's five distinct stage instants (the last two stages share
-t + h); the ODE path lags nothing.
+t + h), and passes that batch through the caller's ``lag_map`` once, so
+work that depends on the delayed state alone runs once per step; the ODE
+path lags nothing. The stage loop works in buffers allocated once per
+lag interval.
 """
 
 from __future__ import annotations
@@ -67,6 +70,8 @@ _THETA_POWERS = np.arange(1.0, 5.0)[:, None]  # exponents 1..4 as a column
 # Row of a step's delayed lookups that serves each stage 1..6: the lookups
 # cover the distinct instants t + _C[1:6] * h, and _C[6] == _C[5].
 _LAG_ROW = (None, 0, 1, 2, 3, 4, 4)
+_C_STAGE = _C.tolist()  # as floats, t + c * h rounds as t + _C * h does
+_NO_LAG = (None,) * 5  # the rows of an ODE, which lags nothing
 
 _EPS = np.finfo(float).eps
 _SAFETY = 0.9
@@ -244,11 +249,6 @@ class _Builder:
         )
 
 
-def _error_norm(err, y0, y1, rel_tol, abs_tol):
-    scale = abs_tol + rel_tol * np.maximum(np.abs(y0), np.abs(y1))
-    return float(np.max(np.abs(err) / scale))
-
-
 def _initial_step(f, t0, y0, f0, rel_tol, abs_tol, h_cap, dom=()):
     """Automatic initial step size from local derivative magnitudes."""
     scale = abs_tol + rel_tol * np.abs(y0)
@@ -268,18 +268,17 @@ def _initial_step(f, t0, y0, f0, rel_tol, abs_tol, h_cap, dom=()):
     return min(100 * h0, h1, h_cap)
 
 
-def _no_lag(ts):
-    """Delayed states of an ODE, which reads none: one None per instant."""
-    return [None] * len(ts)
-
-
 def _advance(f, lagged, builder, t_end, cfg, h_cap, dom, h_start):
     """Step from the builder's last state up to t_end.
 
     lagged maps a 1-d array of ascending instants to one row per instant,
-    the delayed states of a DDE; f(t, y, z) is the derivative at t given
-    the row z for t. Each attempted step calls lagged once, on its distinct
-    stage instants.
+    the delayed rows of a DDE, or is None for an ODE; f(t, y, z) is the
+    derivative at t given the row z for t (None for an ODE). Each attempted
+    step calls lagged once, on its distinct stage instants.
+
+    Stage states and the error norm are computed in buffers allocated once
+    per call, operation for operation as y + h * (A @ k) and
+    max |h * (E @ k)| / scale, so the buffers change no bit of the result.
 
     Returns (status, h_next): status "completed" when t_end was hit,
     "terminated" when f raised the domain error dom at the start state or
@@ -287,7 +286,7 @@ def _advance(f, lagged, builder, t_end, cfg, h_cap, dom, h_start):
     """
 
     def f_at(s, y):
-        return f(s, y, lagged(np.array([s]))[0])
+        return f(s, y, None if lagged is None else lagged(np.array([s]))[0])
 
     t = builder.t_last
     y = builder.y_last.copy()
@@ -309,6 +308,9 @@ def _advance(f, lagged, builder, t_end, cfg, h_cap, dom, h_start):
     err_prev = 1e-4
     just_rejected = False
     domain_exc = None  # the last domain error since the last accepted step
+    y1, dy, scale, ay1 = (np.empty_like(y) for _ in range(4))
+    ay = np.abs(y)  # |y| of the step's start state, for the error norm
+    rows = _NO_LAG
 
     while t < t_end:
         h = min(h, h_cap, t_end - t)
@@ -326,18 +328,29 @@ def _advance(f, lagged, builder, t_end, cfg, h_cap, dom, h_start):
         try:
             # the last stage's state is the accepted state, so every
             # accepted state has passed f's domain check
-            ts = t + _C * h
-            z = lagged(ts[1:6])
+            if lagged is not None:
+                rows = lagged(t + _C[1:6] * h)
             for i in range(1, 7):
-                y1 = y + h * (_A[i] @ k[:i])
-                k[i] = f(ts[i], y1, z[_LAG_ROW[i]])
+                np.dot(_A[i], k[:i], out=dy)
+                dy *= h
+                np.add(y, dy, out=y1)
+                k[i] = f(t + _C_STAGE[i] * h, y1, rows[_LAG_ROW[i]])
         except dom as exc:
             h *= 0.5
             domain_exc = exc
             just_rejected = True
             continue
-        err = _error_norm(h * (_E @ k), y, y1, cfg.rel_tol, cfg.abs_tol)
-        if not np.isfinite(err):
+        # err = max |h * (E @ k)| / (abs_tol + rel_tol * max(|y|, |y1|))
+        np.dot(_E, k, out=dy)
+        dy *= h
+        np.abs(dy, out=dy)
+        np.abs(y1, out=ay1)
+        np.maximum(ay, ay1, out=scale)
+        scale *= cfg.rel_tol
+        scale += cfg.abs_tol
+        dy /= scale
+        err = float(dy.max())
+        if not math.isfinite(err):
             # Overflow or NaN in a stage: treat as a hard rejection.
             h *= _MIN_FACTOR
             just_rejected = True
@@ -363,29 +376,35 @@ def _advance(f, lagged, builder, t_end, cfg, h_cap, dom, h_start):
             just_rejected = False
         err_prev = max(err, 1e-4)
         t = t_new
-        y = y1
+        y, y1 = y1, y
+        ay, ay1 = ay1, ay
         k[0] = k[6]  # FSAL
         h *= factor
     return "completed", h
 
 
-def _integrate(f, y0, tau, t_span, cfg, dom) -> Trajectory:
+def _rows_as_given(z):
+    return z
+
+
+def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given) -> Trajectory:
     """dy/dt = f(t, y, y(t - tau)), with y = y0 before t0, by the method of steps.
 
     Each lag-length interval ends at a breakpoint t0 + k*tau, where the
     derivative may jump. Steps never cross it or exceed tau, so a delayed
     instant, clamped to t0, always lands in completed steps, and t0 reads
-    the stored y0 exactly. An ODE is the lag-free case tau = inf: one
-    interval, steps capped at h_max, no delayed state. An empty span
-    evaluates nothing.
+    the stored y0 exactly. lag_map turns each lookup's (m, dim) delayed
+    states into the m rows f is given. An ODE is the lag-free case
+    tau = inf: one interval, steps capped at h_max, no delayed state. An
+    empty span evaluates nothing.
     """
     cfg = cfg or IntegratorConfig()
     t0, t_end = float(t_span[0]), float(t_span[1])
     if t_end < t0:
         raise ValueError("backward integration is not supported")
     builder = _Builder(t0, np.asarray(y0, dtype=float), cfg.max_steps)
-    past = _no_lag if tau == math.inf else (
-        lambda ts: builder.evaluate(np.maximum(ts - tau, t0)))
+    past = None if tau == math.inf else (
+        lambda ts: lag_map(builder.evaluate(np.maximum(ts - tau, t0))))
     h_cap = min(cfg.h_max, tau)
     status, h_next, k = "completed", cfg.h_init, 1
     while status == "completed" and builder.t_last < t_end:
@@ -411,14 +430,22 @@ def integrate_ode(f, y0, t_span, cfg: IntegratorConfig | None = None,
 
 def integrate_dde(f, y0, tau: float, t_span,
                   cfg: IntegratorConfig | None = None,
-                  domain_error=()) -> Trajectory:
+                  domain_error=(), lag_map=_rows_as_given) -> Trajectory:
     """Integrate dy/dt = f(t, y, y(t - tau)), with y = y0 for t <= t0.
 
     The lag tau must be positive and finite. Steps stop at every breakpoint
     t0 + k*tau and never exceed tau. domain_error is handled as in
     :func:`integrate_ode`.
+
+    lag_map : maps the (m, dim) array of delayed states that one lookup
+        reads to a sequence of m rows, and f receives row j in place of
+        y(t_j - tau). Each attempted step makes one lookup over the m = 5
+        distinct instants of its stages, so work that depends on the
+        delayed state alone can run once per step on the whole batch
+        instead of once per stage. The default passes the states as they
+        are, so f receives y(t - tau) itself.
     """
     if not 0 < tau < math.inf:
         raise ValueError("tau must be positive and finite; "
                          "use integrate_ode when there is no lag")
-    return _integrate(f, y0, tau, t_span, cfg, domain_error)
+    return _integrate(f, y0, tau, t_span, cfg, domain_error, lag_map)

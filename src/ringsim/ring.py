@@ -16,12 +16,20 @@ never delayed.
 
 ``simulate`` builds the fleet's arrays once per run: the leader index, the
 IDM coefficient columns of every vehicle and the FollowerStopper vehicles
-with their leaders. Each derivative evaluation then calls the IDM law of
-:mod:`ringsim.models` once, on the arrays of the whole fleet, and the
-FollowerStopper law once per FollowerStopper vehicle, on scalars; its
-result replaces that vehicle's IDM value. The derivative is the one
-collision check: it raises ``CollisionError`` naming the first vehicle
-whose current gap, or delayed gap if it is an IDM vehicle, is nonpositive.
+with their leaders. The fleet derivative is written once, in two halves.
+The delayed half (``_delayed_half``) reads only delayed states, one or a
+batch of them: it calls the IDM law of :mod:`ringsim.models` once on the
+arrays of the whole fleet and flags the IDM vehicles whose delayed gap is
+nonpositive. The current half (``_deriv``) reads the current state: it
+sets dx/dt = v, checks the current gaps together with the delayed flags,
+calls the FollowerStopper law once per FollowerStopper vehicle, on
+scalars, in place of that vehicle's IDM value, and clamps vehicles at
+standstill. On the delay path the delayed half runs once per attempted
+step, on the delayed states of all its stages, which the solver reads in
+one lookup; without delay both halves run on the current state at every
+evaluation. The derivative is the one collision check: it raises
+``CollisionError`` naming the first vehicle whose current gap, or delayed
+gap if it is an IDM vehicle, is nonpositive.
 """
 
 from __future__ import annotations
@@ -198,26 +206,52 @@ class _Fleet:
             self.laps = -self.length * np.floor((x[self.leaders] - x) / self.length)
 
     def gaps(self, x: np.ndarray) -> np.ndarray:
-        """Forward gap of every vehicle to its leader."""
-        d = x[self.leaders] - x
+        """Forward gap of every vehicle to its leader, over the last axis of x."""
+        d = x.take(self.leaders, axis=-1) - x
         return d % self.length if self.laps is None else d + self.laps
 
 
-def _deriv(z: np.ndarray, z_delayed: np.ndarray, fleet: _Fleet) -> np.ndarray:
-    x = z[0::2]
+def _idm(gaps: np.ndarray, v: np.ndarray, fleet: _Fleet) -> np.ndarray:
+    """IDM acceleration of every vehicle, from its gap and the speeds."""
+    v = np.maximum(v, 0.0)
+    return idm_accel(gaps, v, v - v.take(fleet.leaders, axis=-1), fleet.idm)
+
+
+def _delayed_half(zd: np.ndarray, fleet: _Fleet) -> tuple[np.ndarray, np.ndarray]:
+    """The part of the fleet derivative that reads only the delayed state.
+
+    zd is one delayed state, shaped (2n,), or m of them, shaped (m, 2n).
+    Returns the IDM acceleration of every vehicle and the mask of IDM
+    vehicles whose delayed gap is nonpositive, each shaped (n,) or (m, n).
+    A FollowerStopper vehicle, whose IDM value is discarded, and a flagged
+    vehicle, whose stage raises, are given a placeholder gap of 1 m, so
+    the IDM law never raises here.
+    """
+    gaps = fleet.gaps(zd[..., 0::2])
+    hit = gaps <= 0.0
+    for i, _, _ in fleet.fs:
+        # FollowerStopper vehicles act on the current state: only IDM
+        # vehicles may fail the delayed-gap check
+        hit[..., i] = False
+        gaps[..., i] = 1.0
+    if np.count_nonzero(hit):
+        gaps[hit] = 1.0
+    return _idm(gaps, zd[..., 1::2], fleet), hit
+
+
+def _deriv(z: np.ndarray, lag: tuple[np.ndarray, np.ndarray] | None,
+           fleet: _Fleet) -> np.ndarray:
+    """The fleet derivative at the current state z.
+
+    lag is ``_delayed_half`` of the delayed state; None for a fleet without
+    delay, whose IDM inputs are read from z itself.
+    """
     v = z[1::2]
-    gaps_now = fleet.gaps(x)
-    if z_delayed is z:
-        vd = np.maximum(v, 0.0)
-        gaps_d = gaps_now
-    else:
-        vd = np.maximum(z_delayed[1::2], 0.0)
-        gaps_d = fleet.gaps(z_delayed[0::2])
-        for i, _, _ in fleet.fs:
-            # FollowerStopper vehicles act on the current state: only IDM
-            # vehicles may fail the delayed-gap check
-            gaps_d[i] = gaps_now[i]
-    hit = np.minimum(gaps_now, gaps_d) <= 0.0
+    gaps = fleet.gaps(z[0::2])
+    hit = gaps <= 0.0
+    if lag is not None:
+        acc_d, hit_d = lag
+        hit |= hit_d
     if np.count_nonzero(hit):
         i = int(np.argmax(hit))
         raise CollisionError(f"vehicle {i} has a nonpositive gap to its leader", vehicle=i)
@@ -225,12 +259,12 @@ def _deriv(z: np.ndarray, z_delayed: np.ndarray, fleet: _Fleet) -> np.ndarray:
     out = np.empty_like(z)
     out[0::2] = v
     acc = out[1::2]
-    acc[:] = idm_accel(gaps_d, vd, vd - vd[fleet.leaders], fleet.idm)
+    acc[:] = _idm(gaps, v, fleet) if lag is None else acc_d
     # FollowerStopper vehicles are few (one in the stock presets), and the
     # law costs about half as much on scalars as on a one-element array.
     for i, ldr, p in fleet.fs:
         v_lead = v[ldr]
-        acc[i] = fs_accel(v[i], fs_command(gaps_now[i], v_lead - v[i], v_lead, p), p)
+        acc[i] = fs_accel(v[i], fs_command(gaps[i], v_lead - v[i], v_lead, p), p)
     stopped = v <= 0.0
     if np.count_nonzero(stopped):
         acc[stopped & (acc < 0.0)] = 0.0  # standstill: never integrate backwards
@@ -252,8 +286,11 @@ def rhs(t, z, z_delayed, scenario: RingScenario) -> np.ndarray:
     the delayed gap of an IDM vehicle, is nonpositive.
     """
     z = np.asarray(z, dtype=float)
-    zd = np.asarray(z_delayed, dtype=float) if scenario.tau > 0 else z
-    return _deriv(z, zd, _Fleet(scenario))
+    fleet = _Fleet(scenario)
+    lag = None
+    if scenario.tau > 0:
+        lag = _delayed_half(np.asarray(z_delayed, dtype=float), fleet)
+    return _deriv(z, lag, fleet)
 
 
 def simulate(scenario: RingScenario,
@@ -275,16 +312,19 @@ def simulate(scenario: RingScenario,
         z0 = np.asarray(z0, dtype=float).copy()
     fleet = _Fleet(scenario, z0)
     if scenario.tau > 0:
+        # the delayed half runs once per attempted step, on the delayed
+        # states of all its stages, and each stage gets its row
         return integrators.integrate_dde(
-            lambda t, z, zlag: _deriv(z, zlag, fleet),
+            lambda t, z, lag: _deriv(z, lag, fleet),
             z0,
             tau=scenario.tau,
             t_span=(0.0, scenario.t_end),
             cfg=cfg,
             domain_error=CollisionError,
+            lag_map=lambda zd: list(zip(*_delayed_half(zd, fleet))),
         )
     return integrators.integrate_ode(
-        lambda t, z: _deriv(z, z, fleet),
+        lambda t, z: _deriv(z, None, fleet),
         z0,
         (0.0, scenario.t_end),
         cfg=cfg,

@@ -356,7 +356,8 @@ class TestDde:
 
     def test_one_lookup_per_attempted_step(self, monkeypatch):
         dense, advance = integrators._dense, integrators._advance
-        lookups, builders = [], []
+        integrate = integrators._integrate
+        lookups, builders, maps = [], [], []
 
         def counted_dense(*args):
             lookups.append(np.ndim(args[-1]))
@@ -366,8 +367,18 @@ class TestDde:
             builders.append(builder)
             return advance(f, lagged, builder, *rest)
 
+        def counted_integrate(*args):
+            *rest, lag_map = args
+
+            def counted_map(z):
+                maps.append(z.shape)
+                return lag_map(z)
+
+            return integrate(*rest, counted_map)
+
         monkeypatch.setattr(integrators, "_dense", counted_dense)
         monkeypatch.setattr(integrators, "_advance", counted_advance)
+        monkeypatch.setattr(integrators, "_integrate", counted_integrate)
         traj = simulate_delayed_ring()
         intervals = len(builders)
         assert intervals == 120  # 60 s at tau = 0.5 s
@@ -376,6 +387,28 @@ class TestDde:
         # probe that picks the initial step size
         assert len(lookups) == builders[0].attempts + intervals + 1
         assert builders[0].attempts >= traj.times.size - 1
+        # the map sees each lookup's whole batch once
+        assert len(maps) == len(lookups)
+        assert set(maps) == {(5, 20), (1, 20)}
+
+    def test_lag_map_matches_map_folded_into_f(self):
+        # f given the mapped rows gives the bits of f applying the map itself
+        cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, h_max=0.1)
+        batches = []
+
+        def double(z):
+            batches.append(z.shape)
+            return 2 * z
+
+        mapped = integrate_dde(lambda t, y, w: -(w / 2) + 0.1 * y, [1.0, 0.5], 0.3,
+                               (0.0, 10.0), cfg, lag_map=double)
+        folded = integrate_dde(lambda t, y, z: -((2 * z) / 2) + 0.1 * y, [1.0, 0.5],
+                               0.3, (0.0, 10.0), cfg)
+        assert set(batches) == {(5, 2), (1, 2)}
+        assert np.array_equal(mapped.times, folded.times)
+        assert np.array_equal(mapped.states, folded.states)
+        assert np.array_equal(mapped._coeffs, folded._coeffs)
+        assert np.array_equal(mapped._h, folded._h)
 
     def test_initial_state_from_history(self):
         traj = integrate_dde(dde_rhs, [2.5], 1.0, (0.0, 0.0))

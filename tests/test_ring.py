@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ringsim import ring
+from ringsim import integrators, ring
 from ringsim.integrators import IntegratorConfig, integrate_ode
 from ringsim.models import (
     CollisionError,
@@ -272,6 +272,13 @@ class TestRhsMatchesScalarOracle:
         np.testing.assert_allclose(dz, oracle_rhs(z_now, z_then, sc), rtol=1e-13, atol=1e-15)
 
 
+def crash_scenario(tau):
+    """A FollowerStopper vehicle at 10 m/s, 1 m behind a stopped IDM leader."""
+    sc = RingScenario(ring_length=100.0, controllers=(FsParams(), IdmParams()),
+                      tau=tau, t_end=10.0)
+    return sc, [9.0, 10.0, 10.0, 0.0]
+
+
 class TestSimulate:
     def test_gap_conservation(self):
         sc = replace(build_uniform_scenario("idm"), t_end=20.0)
@@ -367,12 +374,10 @@ class TestSimulate:
 
     @pytest.mark.parametrize("tau", [0.0, 0.5])
     def test_follower_stopper_crash_terminates(self, tau):
-        # a FollowerStopper vehicle at 10 m/s, 1 m behind a stopped IDM
-        # leader, cannot brake in time; it must neither drive through its
-        # leader nor end the run in a solver failure
-        sc = RingScenario(ring_length=100.0, controllers=(FsParams(), IdmParams()),
-                          tau=tau, t_end=10.0)
-        traj = simulate(sc, z0=[9.0, 10.0, 10.0, 0.0])
+        # the FollowerStopper vehicle cannot brake in time; it must neither
+        # drive through its leader nor end the run in a solver failure
+        sc, z0 = crash_scenario(tau)
+        traj = simulate(sc, z0=z0)
         assert traj.status == "terminated"
         ((t_ev, exc),) = traj.events
         assert isinstance(exc, CollisionError)
@@ -387,6 +392,74 @@ class TestSimulate:
         traj = simulate(sc)
         assert traj.status == "completed"
         assert traj.t_end == 5.0
+
+
+def simulate_per_stage(monkeypatch, scenario, z0=None):
+    """simulate with the delayed half run once per stage, on that stage's
+    1-d delayed state alone, instead of once per step on the batch."""
+    dde = integrators.integrate_dde
+
+    def per_stage(f, y0, tau, t_span, cfg=None, domain_error=(), lag_map=None):
+        fleet = ring._Fleet(scenario, y0)
+        return dde(lambda t, y, zd: f(t, y, ring._delayed_half(zd, fleet)),
+                   y0, tau, t_span, cfg, domain_error)
+
+    with monkeypatch.context() as m:
+        m.setattr(integrators, "integrate_dde", per_stage)
+        return simulate(scenario, z0=z0)
+
+
+class TestDelayedBatch:
+    """The delay path evaluates the IDM law once per attempted step, over
+    the delayed states of all its stages."""
+
+    @pytest.mark.parametrize("preset", ["idm_delayed", "mixed_delayed"])
+    def test_matches_per_stage_evaluation(self, monkeypatch, preset):
+        sc = replace(build_uniform_scenario(preset), t_end=60.0)
+        batched = simulate(sc)
+        oracle = simulate_per_stage(monkeypatch, sc)
+        assert batched.status == oracle.status == "completed"
+        assert np.array_equal(batched.times, oracle.times)
+        assert np.array_equal(batched.states, oracle.states)
+        assert np.array_equal(batched._coeffs, oracle._coeffs)
+        assert np.array_equal(batched._h, oracle._h)
+
+    def test_crash_matches_per_stage_evaluation(self, monkeypatch):
+        # the collision raises in a stage of a batched step: the run must
+        # end at the same step, naming the same vehicle
+        sc, z0 = crash_scenario(0.5)
+        batched = simulate(sc, z0=z0)
+        oracle = simulate_per_stage(monkeypatch, sc, z0)
+        assert np.array_equal(batched.times, oracle.times)
+        assert np.array_equal(batched.states, oracle.states)
+        assert np.array_equal(batched._coeffs, oracle._coeffs)
+        assert np.array_equal(batched._h, oracle._h)
+        ((t_ev, exc),) = batched.events
+        ((t_oracle, exc_oracle),) = oracle.events
+        assert t_ev == t_oracle == pytest.approx(0.1058145, abs=1e-6)
+        assert exc.vehicle == exc_oracle.vehicle == 0
+
+    def test_idm_law_once_per_lookup(self, monkeypatch):
+        dense = integrators._dense
+        laws, lookups = [], []
+
+        def counted_law(s, v, dv, p):
+            laws.append(np.shape(s))
+            return idm_accel(s, v, dv, p)
+
+        def counted_dense(*args):
+            lookups.append(np.ndim(args[-1]))
+            return dense(*args)
+
+        monkeypatch.setattr(ring, "idm_accel", counted_law)
+        monkeypatch.setattr(integrators, "_dense", counted_dense)
+        sc = replace(build_uniform_scenario("idm_delayed"), t_end=60.0)
+        traj = simulate(sc)
+        assert len(laws) == len(lookups)
+        # a step's lookup covers its five distinct stage instants; interval
+        # starts and the initial-step probe look up one instant
+        assert set(laws) == {(5, 10), (1, 10)}
+        assert laws.count((5, 10)) >= traj.times.size - 1
 
 
 class TestRingSeries:
