@@ -116,6 +116,8 @@ _LEAF_SIZE = 32
 _LEAF_BLOCK = 128
 _PAIR_CHUNK = 1 << 13
 
+_MIN_PAIRS = 10  # fewest neighbour pairs an exponent estimate is taken from
+
 
 def _sq_dist(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sum over the last axis of (a - b)**2, accumulated in coordinate order."""
@@ -296,8 +298,7 @@ def _degenerate(reason, embed_dim, lag, min_sep, fit_range, rate,
 
 def max_lyapunov(signal, sample_rate: float = 1.0, embed_dim: int = 3,
                  lag: int | None = None, min_separation: int | None = None,
-                 fit_range: tuple[int, int] | None = None,
-                 min_pairs: int = 10) -> LyapunovResult:
+                 fit_range: tuple[int, int] | None = None) -> LyapunovResult:
     """Maximal Lyapunov exponent of a uniformly sampled scalar series.
 
     The signal is delay-embedded in ``embed_dim`` dimensions; each point is
@@ -319,7 +320,7 @@ def max_lyapunov(signal, sample_rate: float = 1.0, embed_dim: int = 3,
     if not 0 <= fit_range[0] < fit_range[1]:
         raise ValueError("fit_range must satisfy 0 <= start < end")
     n = x.size
-    needed = (embed_dim - 1) * max(lag or 1, 1) + fit_range[1] + min_pairs
+    needed = (embed_dim - 1) * max(lag or 1, 1) + fit_range[1] + _MIN_PAIRS
     if n < max(needed, 64):
         raise ValueError(f"series too short: {n} samples, need at least {max(needed, 64)}")
     if embed_dim < 1:
@@ -357,7 +358,7 @@ def max_lyapunov(signal, sample_rate: float = 1.0, embed_dim: int = 3,
     valid = np.isfinite(nn_d) & (nn_d > 0.0)
     refs = np.nonzero(valid)[0]
     n_zero = int(np.count_nonzero(nn_d == 0.0))
-    if refs.size < min_pairs:
+    if refs.size < _MIN_PAIRS:
         return _degenerate(
             "no usable neighbor pairs (signal nearly constant or repetitive)",
             embed_dim, lag, min_separation, fit_range, sample_rate,
@@ -374,7 +375,7 @@ def max_lyapunov(signal, sample_rate: float = 1.0, embed_dim: int = 3,
             break
         d = np.linalg.norm(Y[i[ok]] - Y[j[ok]], axis=1)
         d = d[d > 0.0]
-        if d.size < min_pairs:
+        if d.size < _MIN_PAIRS:
             break
         curve[k] = np.mean(np.log(d))
     have = np.nonzero(np.isfinite(curve))[0]

@@ -210,8 +210,7 @@ def _scenario_from_dict(d, path="scenario") -> ring.RingScenario:
     controllers = tuple(
         _vehicle_from_dict(v, f"{path}.vehicles[{i}]") for i, v in enumerate(vehicles)
     )
-    return _section(ring.RingScenario, {"ring_length": 100.0, **d}, path, skip,
-                    controllers=controllers)
+    return _section(ring.RingScenario, d, path, skip, controllers=controllers)
 
 
 def config_from_dict(d) -> RunConfig:

@@ -68,10 +68,11 @@ PRESET_NAMES = ("idm", "idm_delayed", "mixed", "mixed_delayed")
 _SAMPLE_BLOCK = 4096  # instants per dense evaluation in ``sample``
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RingScenario:
-    """Full description of one ring-road run.
+    """Full description of one ring-road run; the defaults are the stock ring.
 
+    ring_length : circumference of the ring (m)
     controllers : per-vehicle controller parameters, IdmParams or FsParams,
         ordered so that vehicle i follows vehicle i-1
     tau : reaction delay applied to IDM inputs only (s, 0 disables)
@@ -82,7 +83,7 @@ class RingScenario:
     sample_hz : uniform output sampling rate (Hz)
     """
 
-    ring_length: float
+    ring_length: float = 100.0
     controllers: tuple[IdmParams | FsParams, ...]
     tau: float = 0.0
     v_init: float = 5.0
@@ -120,30 +121,19 @@ class RingScenario:
 
 
 def build_uniform_scenario(preset: str, seed: int = 1) -> RingScenario:
-    """One of the four stock scenarios: 10 vehicles, 100 m ring, 1500 s.
+    """One of the four stock scenarios: 10 vehicles on the stock ring.
 
-    Vehicles start equally spaced at 5 m/s with a 1e-3 m/s random
-    perturbation, sampled at 30 Hz. The delayed presets use a 0.5 s
-    reaction delay on the IDM vehicles; the mixed presets replace vehicle 0
-    with a FollowerStopper controller (which is never delayed).
+    Every other value is a RingScenario default. The delayed presets use a
+    0.5 s reaction delay on the IDM vehicles; the mixed presets replace
+    vehicle 0 with a FollowerStopper controller (which is never delayed).
     """
     if preset not in PRESET_NAMES:
         raise ValueError(f"unknown preset {preset!r}; expected one of {PRESET_NAMES}")
-    idm = IdmParams()
-    controllers: list[IdmParams | FsParams] = [idm] * 10
+    controllers: list[IdmParams | FsParams] = [IdmParams()] * 10
     if preset.startswith("mixed"):
         controllers[0] = FsParams()
     tau = 0.5 if preset.endswith("_delayed") else 0.0
-    return RingScenario(
-        ring_length=100.0,
-        controllers=tuple(controllers),
-        tau=tau,
-        v_init=5.0,
-        perturb_amp=1e-3,
-        seed=seed,
-        t_end=1500.0,
-        sample_hz=30.0,
-    )
+    return RingScenario(controllers=controllers, tau=tau, seed=seed)
 
 
 def initial_state(scenario: RingScenario) -> np.ndarray:
@@ -278,9 +268,9 @@ def rhs(t, z, z_delayed, scenario: RingScenario) -> np.ndarray:
     is positive, so z itself may be passed when tau is 0. Position
     derivatives always equal the current velocity slots. IDM
     accelerations are evaluated entirely from the delayed state; the
-    FollowerStopper vehicle from the current one. Speeds fed to the
-    controllers are clamped at zero, and a vehicle at standstill is never
-    given a negative acceleration.
+    FollowerStopper vehicle from the current one. Speeds fed to the IDM law
+    are clamped at zero, those fed to the FollowerStopper law are not, and
+    a vehicle at standstill is never given a negative acceleration.
 
     Gaps are taken modulo L. Raises CollisionError when a current gap, or
     the delayed gap of an IDM vehicle, is nonpositive.
@@ -398,12 +388,16 @@ def sample(traj: integrators.Trajectory, scenario: RingScenario) -> RingSeries:
 
 
 def equilibrium_scenario(preset: str = "idm", seed: int = 1) -> RingScenario:
-    """Preset variant started exactly on the uniform flow manifold.
+    """IDM preset variant started exactly on the uniform flow manifold.
 
     The nominal speed is set to the IDM equilibrium speed for the uniform
-    spacing and the perturbation is disabled.
+    spacing and the perturbation is disabled. A preset with a
+    FollowerStopper vehicle raises ValueError.
     """
     base = build_uniform_scenario(preset, seed=seed)
-    idm = next(p for p in base.controllers if isinstance(p, IdmParams))
+    if any(isinstance(p, FsParams) for p in base.controllers):
+        raise ValueError(f"preset {preset!r} has a FollowerStopper vehicle; a mixed "
+                         "equilibrium is not uniform flow and is ROADMAP item 1")
+    idm = base.controllers[0]
     v_eq = idm_equilibrium_speed(base.ring_length / base.n_vehicles, idm)
     return replace(base, v_init=v_eq, perturb_amp=0.0)

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import re
 
@@ -12,7 +13,7 @@ from ringsim import analysis, cli
 from ringsim.analysis import fundamental_diagram
 from ringsim.integrators import IntegratorConfig
 from ringsim.models import FsParams, IdmParams
-from ringsim.ring import RingScenario, RingSeries, simulate
+from ringsim.ring import RingScenario, RingSeries, build_uniform_scenario, simulate
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
@@ -237,7 +238,7 @@ class TestConfigErrors:
         assert not out.exists()
 
     @pytest.mark.parametrize("make", [
-        lambda: RingScenario(100.0, [IdmParams()] * 2, t_end=float("nan")),
+        lambda: RingScenario(controllers=[IdmParams()] * 2, t_end=float("nan")),
         lambda: IdmParams(T=float("nan")),
         lambda: FsParams(alpha=(1.0, 0.7, float("nan"))),
         lambda: cli.AnalysisSettings(stop_speed=float("nan")),
@@ -333,6 +334,22 @@ class TestConfigEcho:
         assert len(blocks) >= 2
         for block in blocks:
             cli.config_from_dict(json.loads(block))
+
+    def test_readme_library_block_runs(self):
+        with open(README) as fh:
+            block, = re.findall(r"## Library use\n\n```python\n(.*?)```", fh.read(), re.S)
+        names = {}
+        exec(compile(block, README, "exec"), names)
+        shape = names["series"].velocities.shape
+        assert names["k"].shape == names["q"].shape == names["gap"].shape == shape
+        assert math.isfinite(names["exponent"].lambda_max)
+
+    def test_vehicle_list_takes_stock_ring(self):
+        # every scenario value a vehicle list leaves out, the 100 m ring
+        # included, is a RingScenario default, and the echo states it
+        cfg = cli.config_from_dict({"scenario": {"vehicles": [{"controller": "idm"}] * 10}})
+        assert cfg.scenario == build_uniform_scenario("idm")
+        assert cli.config_to_dict(cfg)["scenario"]["ring_length"] == 100.0
 
 
 class TestFailureExitCodes:

@@ -225,6 +225,28 @@ class TestParamValidation:
     def test_fs_accepts_defaults(self):
         FsParams()
 
+    def test_fs_envelope_check_matches_grid(self):
+        # oracle: the ordering checked on 1000 closing speeds over [-40, 0]
+        grid = np.linspace(-40.0, 0.0, 1000)
+        closing = np.minimum(grid, 0.0)
+        q = closing * closing
+        rng = np.random.default_rng(7)
+        n_bad = 0
+        for _ in range(2000):
+            omega = tuple(np.sort(rng.uniform(0.5, 6.0, 3)))
+            alpha = tuple(rng.uniform(0.05, 3.0, 3))
+            d1, d2, d3 = (w + q / (2.0 * a) for w, a in zip(omega, alpha))
+            bad = np.nonzero(~((d1 < d2) & (d2 < d3)))[0]
+            if not bad.size:
+                FsParams(omega=omega, alpha=alpha)
+                continue
+            n_bad += 1
+            with pytest.raises(ValueError) as exc:
+                FsParams(omega=omega, alpha=alpha)
+            assert str(exc.value) == ("FsParams switching boundaries lose their ordering "
+                                      f"at dv={grid[bad[0]]:.3f} m/s")
+        assert 0 < n_bad < 2000
+
 
 class TestArrayInputs:
     """The laws on arrays against the same laws called entry by entry."""

@@ -55,6 +55,19 @@ class TestPresets:
         with pytest.raises(ValueError):
             build_uniform_scenario("bogus")
 
+    @pytest.mark.parametrize("preset", ["idm", "idm_delayed"])
+    def test_equilibrium_scenario(self, preset):
+        v_eq = idm_equilibrium_speed(10.0, IdmParams())
+        want = replace(build_uniform_scenario(preset, seed=3), v_init=v_eq, perturb_amp=0.0)
+        assert equilibrium_scenario(preset, seed=3) == want
+
+    @pytest.mark.parametrize("preset", ["mixed", "mixed_delayed"])
+    def test_equilibrium_scenario_rejects_follower_stopper(self, preset):
+        # uniform flow at the IDM speed would start the FollowerStopper
+        # vehicle off its equilibrium
+        with pytest.raises(ValueError, match="FollowerStopper"):
+            equilibrium_scenario(preset)
+
     def test_initial_spacing_exact(self):
         sc = build_uniform_scenario("idm")
         z = initial_state(sc)
