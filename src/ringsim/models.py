@@ -6,12 +6,16 @@ an acceleration, and the FollowerStopper speed-command law together with
 the first-order tracking rule that turns a commanded speed into an
 acceleration.
 
-Every law is written once, in numpy operations: its inputs may be
-scalars, 0-d or 1-d arrays that broadcast together, and scalar inputs give
-a scalar. IDM coefficients are one vehicle's ``IdmParams`` or the
-``IdmColumns`` of several vehicles, which carry the same attribute names
-with one array entry per vehicle; FollowerStopper coefficients are one
-vehicle's ``FsParams``.
+Every law is written once, and its inputs may be scalars, 0-d or 1-d
+arrays that broadcast together; scalar inputs give a scalar. The IDM law
+and the tracking rule are numpy operations. The FollowerStopper command is
+plain float arithmetic on one vehicle (``_fs_select``), which computes only
+the band the gap lies in: ``fs_command``, ``fs_region`` and
+``fs_boundary`` run it directly on Python floats, and entry by entry
+(``np.vectorize``) on arrays and numpy scalars. IDM coefficients are one
+vehicle's ``IdmParams`` or the ``IdmColumns`` of several vehicles, which
+carry the same attribute names with one array entry per vehicle;
+FollowerStopper coefficients are one vehicle's ``FsParams``.
 
 Sign conventions differ between the two laws and are documented on each
 function; mapping a fleet's leader/follower speeds onto these arguments is
@@ -155,6 +159,8 @@ class FsParams:
 
 def _check_gap(s, law: str) -> None:
     """CollisionError if any entry of the gap s is nonpositive."""
+    if isinstance(s, float) and s > 0.0:  # one positive gap: nothing to scan
+        return
     bad = s <= 0.0
     if np.count_nonzero(bad):
         first = np.asarray(s, dtype=float)[np.asarray(bad)].flat[0]
@@ -220,12 +226,14 @@ def fs_boundary(j: int, dv, p: FsParams):
     """
     if j not in (1, 2, 3):
         raise ValueError(f"boundary index must be 1, 2 or 3, got {j}")
-    return _fs_boundaries(dv, p)[j - 1]
+    if type(dv) is float:
+        return _fs_boundaries(dv, p)[j - 1]
+    return np.vectorize(lambda d: _fs_boundaries(d, p)[j - 1], otypes=[float])(dv)[()]
 
 
-def _fs_boundaries(dv, p: FsParams):
-    """The three switching boundaries (d1, d2, d3); see fs_boundary."""
-    closing = np.minimum(dv, 0.0)
+def _fs_boundaries(dv: float, p: FsParams) -> tuple[float, float, float]:
+    """The three switching boundaries (d1, d2, d3) at one dv; see fs_boundary."""
+    closing = min(dv, 0.0)
     q = closing * closing
     (w1, w2, w3), (a1, a2, a3) = p.omega, p.alpha
     return w1 + q / (2.0 * a1), w2 + q / (2.0 * a2), w3 + q / (2.0 * a3)
@@ -240,15 +248,26 @@ class FsRegion(IntEnum):
     FREE = 4    # command the free-road speed r
 
 
-def _fs_select(dx, bounds, stop, follow, blend, free):
-    """Per entry, the value of the first band dx does not lie beyond.
+def _fs_select(dx: float, dv: float, v_lead: float,
+               p: FsParams) -> tuple[FsRegion, float]:
+    """The FollowerStopper law at one (gap, approach rate, leader speed).
 
-    stop for dx <= d1, follow for d1 < dx <= d2, blend for d2 < dx <= d3,
-    free beyond d3, with (d1, d2, d3) = bounds.
+    Returns the region dx lies in and the command of that band, and
+    computes no other band's command: STOP for dx <= d1, FOLLOW for
+    d1 < dx <= d2, BLEND for d2 < dx <= d3, FREE beyond d3. A NaN
+    comparison is false, so a NaN gap or boundary falls through to FREE.
     """
-    d1, d2, d3 = bounds
-    return np.where(dx <= d1, stop,
-                    np.where(dx <= d2, follow, np.where(dx <= d3, blend, free)))[()]
+    d1, d2, d3 = _fs_boundaries(dv, p)
+    if dx <= d1:
+        return FsRegion.STOP, 0.0
+    # the leader speed clamped to [0, r], as np.maximum would clamp it: NaN
+    # stays NaN and -0.0 becomes 0.0 (max(v_lead, 0.0) would keep -0.0)
+    v_hat = min(0.0 if v_lead <= 0.0 else v_lead, p.r)
+    if dx <= d2:
+        return FsRegion.FOLLOW, v_hat * (dx - d1) / (d2 - d1)
+    if dx <= d3:
+        return FsRegion.BLEND, v_hat + (p.r - v_hat) * (dx - d2) / (d3 - d2)
+    return FsRegion.FREE, p.r
 
 
 def fs_region(dx, dv, p: FsParams):
@@ -260,7 +279,10 @@ def fs_region(dx, dv, p: FsParams):
     of region codes.
     """
     _check_gap(dx, "FollowerStopper")
-    region = _fs_select(dx, _fs_boundaries(dv, p), *FsRegion)
+    if type(dx) is type(dv) is float:
+        return _fs_select(dx, dv, 0.0, p)[0]
+    region = np.vectorize(lambda x, d: _fs_select(x, d, 0.0, p)[0],
+                          otypes=[np.int64])(dx, dv)[()]
     return FsRegion(region) if np.ndim(region) == 0 else region
 
 
@@ -272,11 +294,10 @@ def fs_command(dx, dv, v_lead, p: FsParams):
     ramping on to r at d3, and r beyond, over the bands of ``fs_region``.
     """
     _check_gap(dx, "FollowerStopper")
-    d1, d2, d3 = bounds = _fs_boundaries(dv, p)
-    v_hat = np.minimum(np.maximum(v_lead, 0.0), p.r)
-    follow = v_hat * (dx - d1) / (d2 - d1)
-    blend = v_hat + (p.r - v_hat) * (dx - d2) / (d3 - d2)
-    return _fs_select(dx, bounds, 0.0, follow, blend, p.r)
+    if type(dx) is type(dv) is type(v_lead) is float:
+        return _fs_select(dx, dv, v_lead, p)[1]
+    return np.vectorize(lambda x, d, v: _fs_select(x, d, v, p)[1],
+                        otypes=[float])(dx, dv, v_lead)[()]
 
 
 def fs_accel(v, v_cmd, p: FsParams):

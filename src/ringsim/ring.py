@@ -23,8 +23,8 @@ arrays of the whole fleet and flags the IDM vehicles whose delayed gap is
 nonpositive. The current half (``_deriv``) reads the current state: it
 sets dx/dt = v, checks the current gaps together with the delayed flags,
 calls the FollowerStopper law once per FollowerStopper vehicle, on
-scalars, in place of that vehicle's IDM value, and clamps vehicles at
-standstill. On the delay path the delayed half runs once per attempted
+Python floats, in place of that vehicle's IDM value, and clamps vehicles
+at standstill. On the delay path the delayed half runs once per attempted
 step, on the delayed states of all its stages, which the solver reads in
 one lookup; without delay both halves run on the current state at every
 evaluation. The derivative is the one collision check: it raises
@@ -250,11 +250,11 @@ def _deriv(z: np.ndarray, lag: tuple[np.ndarray, np.ndarray] | None,
     out[0::2] = v
     acc = out[1::2]
     acc[:] = _idm(gaps, v, fleet) if lag is None else acc_d
-    # FollowerStopper vehicles are few (one in the stock presets), and the
-    # law costs about half as much on scalars as on a one-element array.
+    # FollowerStopper vehicles are few (one in the stock presets); on Python
+    # floats the law runs its float body directly, without numpy.
     for i, ldr, p in fleet.fs:
-        v_lead = v[ldr]
-        acc[i] = fs_accel(v[i], fs_command(gaps[i], v_lead - v[i], v_lead, p), p)
+        v_i, v_lead = v.item(i), v.item(ldr)
+        acc[i] = fs_accel(v_i, fs_command(gaps.item(i), v_lead - v_i, v_lead, p), p)
     stopped = v <= 0.0
     if np.count_nonzero(stopped):
         acc[stopped & (acc < 0.0)] = 0.0  # standstill: never integrate backwards

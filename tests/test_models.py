@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -191,6 +192,29 @@ class TestFsCommand:
     def test_collision_state(self):
         with pytest.raises(CollisionError):
             fs_command(-0.5, 0.0, 5.0, FS)
+
+    @pytest.mark.parametrize("args, want, region", [
+        ((3.5, math.nan, 5.0), 4.75, FsRegion.FREE),
+        ((3.5, 0.0, math.nan), math.nan, FsRegion.BLEND),
+        ((3.5, 0.0, math.inf), 4.75, FsRegion.BLEND),
+        ((3.5, 0.0, -math.inf), 1.5833333333333333, FsRegion.BLEND),
+        ((math.inf, 0.0, 5.0), 4.75, FsRegion.FREE),
+        ((2.625, -0.0, 5.0), 2.375, FsRegion.FOLLOW),
+        ((2.625, 0.0, -0.0), 0.0, FsRegion.FOLLOW),
+        ((3.5, -math.inf, 5.0), 0.0, FsRegion.STOP),
+        ((math.nan, 0.0, 5.0), 4.75, FsRegion.FREE),
+    ], ids=["nan_dv", "nan_leader", "inf_leader", "minus_inf_leader", "inf_gap",
+            "minus_zero_dv", "minus_zero_leader", "minus_inf_dv", "nan_gap"])
+    def test_non_finite_and_signed_zero_inputs(self, args, want, region):
+        # only the selected band is computed, so a discarded band that would
+        # form inf - inf or 0 * inf never runs and nothing warns
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fs_command(*args, FS)
+            got_region = fs_region(*args[:2], FS)
+        assert type(got) is float
+        assert repr(got) == repr(want)  # tells 0.0 from -0.0 and matches NaN to NaN
+        assert type(got_region) is FsRegion and got_region is region
 
 
 class TestFsAccel:

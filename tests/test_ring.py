@@ -8,9 +8,12 @@ from ringsim.integrators import IntegratorConfig, integrate_ode
 from ringsim.models import (
     CollisionError,
     FsParams,
+    FsRegion,
     IdmParams,
     fs_accel,
+    fs_boundary,
     fs_command,
+    fs_region,
     idm_accel,
     idm_equilibrium_speed,
 )
@@ -263,6 +266,44 @@ class TestRhsMatchesScalarOracle:
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
             clamped += sum(got[2 * i + 1] == 0.0 for i in stopped)
         assert clamped >= 20  # the standstill clamp was exercised
+
+    @pytest.mark.parametrize("region", list(FsRegion), ids=lambda r: r.name.lower())
+    @pytest.mark.parametrize("delayed", [False, True], ids=["now", "delayed"])
+    def test_follower_stopper_column_bit_exact(self, region, delayed):
+        # the FollowerStopper acceleration is the scalar law on Python floats,
+        # operation for operation: compared with ==, as a reordered operation
+        # would hide inside the 1e-13 the IDM columns need for pow
+        sc = self.scenario((0, 6), 0.5 if delayed else 0.0)
+        fleet = ring._Fleet(sc)
+        rng = np.random.default_rng(23)
+        for _ in range(25):
+            # no vehicle at standstill, so the clamp never acts; closing
+            # speeds stay small, so every band fits inside half the ring
+            v = rng.uniform(0.5, 4.0, self.N)
+            gaps = rng.uniform(0.5, 1.5, self.N)
+            for i in (0, 6):
+                p = sc.controllers[i]
+                d = [fs_boundary(j, v[i - 1] - v[i], p) for j in (1, 2, 3)]
+                lo, hi = ([0.1] + d + [d[2] + 5.0])[region - 1:region + 1]
+                gaps[i] = rng.uniform(lo + 0.05 * (hi - lo), hi - 0.05 * (hi - lo))
+            gaps[1:6] *= (self.LENGTH / 2 - gaps[6]) / gaps[1:6].sum()
+            gaps[7:] *= (self.LENGTH / 2 - gaps[0]) / gaps[7:].sum()
+            z = np.empty(2 * self.N)
+            z[0::2] = (rng.uniform(0.0, self.LENGTH) - np.cumsum(gaps) + gaps[0]) % self.LENGTH
+            z[1::2] = v
+            lag = None
+            if delayed:
+                zd = random_ring_state(rng, self.N, self.LENGTH)
+                lag = next(zip(*ring._delayed_half(zd[None], fleet)))
+            got = ring._deriv(z, lag, fleet)
+            x = z[0::2]
+            for i in (0, 6):
+                p = sc.controllers[i]
+                gap = float((x[i - 1] - x[i]) % self.LENGTH)
+                v_i, v_lead = float(v[i]), float(v[i - 1])
+                assert fs_region(gap, v_lead - v_i, p) is region
+                want = fs_accel(v_i, fs_command(gap, v_lead - v_i, v_lead, p), p)
+                assert got[2 * i + 1] == want
 
     def test_nonpositive_delayed_gap_raises(self):
         # current gaps positive, but at t - tau vehicle 1 sat on vehicle 0
