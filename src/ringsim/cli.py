@@ -352,7 +352,7 @@ def write_artifacts(out_dir: str, cfg: RunConfig, traj, series) -> dict:
     the stats and writes events.csv, stats.json and manifest.json. Every
     writer is reaped before this returns or raises. A failed writer raises
     OSError naming its file, unless an exception is already propagating.
-    Needs POSIX os.fork.
+    Needs POSIX os.fork. Of traj, only what compute_stats reads is used.
     """
     os.makedirs(out_dir, exist_ok=True)
     writers = {}  # pid -> table file name
@@ -382,7 +382,11 @@ def _finite_or_none(x):
 
 
 def compute_stats(cfg: RunConfig, traj, series, stops) -> dict:
-    """The stats.json mapping of a run; stops are the series' stop events."""
+    """The stats.json mapping of a run; stops are the series' stop events.
+
+    Of traj it reads the status, the events and the last accepted state,
+    so the run's ``Trajectory.final()`` serves as well as the whole of it.
+    """
     sc = cfg.scenario
     an = cfg.analysis
     gaps = series.gaps()
@@ -457,6 +461,9 @@ def run_one(cfg: RunConfig, out_dir: str) -> tuple[int, dict]:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER, {"status": "solver_failure", "error": str(exc)}
     series = ring.sample(traj, cfg.scenario)
+    # the stats and events.csv read no more of a sampled run than its end,
+    # so the dense output is freed before the stats and the table writers
+    traj = traj.final()
     stats = write_artifacts(out_dir, cfg, traj, series)
     return (EXIT_COLLISION if traj.status == "terminated" else EXIT_OK), stats
 

@@ -19,6 +19,13 @@ t + h), and passes that batch through the caller's ``lag_map`` once, so
 work that depends on the delayed state alone runs once per step; the ODE
 path lags nothing. The stage loop works in buffers allocated once per
 lag interval.
+
+The dense output is stored once. Each accepted step keeps its end state
+and four interpolation coefficients per component, about 40 bytes per
+component, in storage sized at the start for the steps the step cap
+implies; a run that outgrows it doubles it. The returned Trajectory owns
+that storage uncopied, and :meth:`Trajectory.final` keeps only the end of
+a run, so that the rest can be freed once it has been sampled.
 """
 
 from __future__ import annotations
@@ -74,6 +81,7 @@ _C_STAGE = _C.tolist()  # as floats, t + c * h rounds as t + _C * h does
 _NO_LAG = (None,) * 5  # the rows of an ODE, which lags nothing
 
 _EPS = np.finfo(float).eps
+_SLACK_ROWS = 16  # rows stored beyond the step cap's count
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
@@ -176,45 +184,67 @@ class Trajectory:
             )
         return _dense(times, self.states, self._coeffs, self._h, t)
 
+    def final(self) -> Trajectory:
+        """The trajectory cut down to its last accepted instant, with the
+        same status and events, in arrays of its own: it keeps none of the
+        dense output of the earlier steps alive."""
+        return Trajectory(self.times[-1:].copy(), self.states[-1:].copy(),
+                          self._coeffs[-1:].copy(), self._h[-1:].copy(),
+                          self.events, self.status)
+
 
 class _Builder:
-    """Growing storage for accepted steps, readable while integrating.
+    """Storage for accepted steps, readable while integrating.
 
     Delay integration reads completed steps through ``evaluate`` while new
     ones are still being appended, so lookups are served from the same
-    arrays the final Trajectory will own. Step rows start as a zero step of
-    unit length, the one that follows the last stored instant.
+    arrays the final Trajectory will own. The arrays start with room for
+    ``rows`` instants and double when they fill. They are allocated
+    uninitialised, so rows past the last written one take address space
+    but no resident memory. The step row of the last stored instant is a
+    zero step of unit length, written with the instant.
     """
 
-    def __init__(self, t0: float, y0: np.ndarray, max_steps: int):
+    def __init__(self, t0: float, y0: np.ndarray, max_steps: int, rows: int):
         dim = y0.size
-        cap = 512
-        self.times = np.empty(cap)
-        self.states = np.empty((cap, dim))
-        self.coeffs = np.zeros((cap, dim, 4))
-        self.hs = np.ones(cap)
-        self.n = 1
-        self.times[0] = t0
-        self.states[0] = y0
+        self.times = np.empty(rows)
+        self.states = np.empty((rows, dim))
+        self.coeffs = np.empty((rows, dim, 4))
+        self.hs = np.empty(rows)
+        self.n = 0
         self.events: list[tuple[float, object]] = []
         self.attempts = 0
         self.max_steps = max_steps
+        self._store(t0, y0)
+
+    def _store(self, t: float, y: np.ndarray):
+        """Write instant n and the zero step that follows it."""
+        n = self.n
+        if n == self.times.size:
+            self._grow()
+        self.times[n] = t
+        self.states[n] = y
+        self.coeffs[n] = 0.0
+        self.hs[n] = 1.0
+        self.n = n + 1
 
     def _grow(self):
-        self.times = np.concatenate([self.times, np.empty(self.times.size)])
-        self.states = np.vstack([self.states, np.empty_like(self.states)])
-        # np.zeros leaves the new pages untouched until they are written
-        self.coeffs = np.concatenate([self.coeffs, np.zeros(self.coeffs.shape)])
-        self.hs = np.concatenate([self.hs, np.ones_like(self.hs)])
+        n = self.n
+        for name in ("times", "states", "coeffs", "hs"):
+            old = getattr(self, name)
+            new = np.empty((2 * n,) + old.shape[1:])
+            new[:n] = old[:n]
+            setattr(self, name, new)
 
     def append(self, t: float, y: np.ndarray, coeff: np.ndarray, h: float):
-        if self.n == self.times.size:
-            self._grow()
-        self.times[self.n] = t
-        self.states[self.n] = y
-        self.coeffs[self.n - 1] = coeff
-        self.hs[self.n - 1] = h
-        self.n += 1
+        self._store(t, y)
+        self.coeffs[self.n - 2] = coeff
+        self.hs[self.n - 2] = h
+
+    def end_on(self, t: float, exc: BaseException):
+        """Record the domain error that ends the run at t, without its
+        traceback: the solver frames it holds would keep this storage alive."""
+        self.events.append((t, exc.with_traceback(None)))
 
     @property
     def t_last(self) -> float:
@@ -239,14 +269,10 @@ class _Builder:
         return _dense(self.times[: self.n], self.states, self.coeffs, self.hs, t)
 
     def finish(self, status: str) -> Trajectory:
-        return Trajectory(
-            self.times[: self.n].copy(),
-            self.states[: self.n].copy(),
-            self.coeffs[: self.n].copy(),
-            self.hs[: self.n].copy(),
-            self.events,
-            status,
-        )
+        """The Trajectory of the stored steps; it owns the filled rows, uncopied."""
+        n = self.n
+        return Trajectory(self.times[:n], self.states[:n], self.coeffs[:n], self.hs[:n],
+                          self.events, status)
 
 
 def _initial_step(f, t0, y0, f0, rel_tol, abs_tol, h_cap, dom=()):
@@ -294,7 +320,7 @@ def _advance(f, lagged, builder, t_end, cfg, h_cap, dom, h_start):
     try:
         k[0] = f_at(t, y)
     except dom as exc:
-        builder.events.append((t, exc))
+        builder.end_on(t, exc)
         return "terminated", h_start
     if not (np.isfinite(y).all() and np.isfinite(k[0]).all()):
         # It would give a NaN step size, which never falls below the floor,
@@ -317,7 +343,7 @@ def _advance(f, lagged, builder, t_end, cfg, h_cap, dom, h_start):
         h_floor = 16 * _EPS * max(abs(t), abs(t_end))
         if h < h_floor:
             if domain_exc is not None:
-                builder.events.append((t, domain_exc))
+                builder.end_on(t, domain_exc)
                 return "terminated", h
             raise IntegrationError(
                 "step size underflow; right-hand side too stiff or discontinuous", t
@@ -402,10 +428,15 @@ def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given) -> Trajecto
     t0, t_end = float(t_span[0]), float(t_span[1])
     if t_end < t0:
         raise ValueError("backward integration is not supported")
-    builder = _Builder(t0, np.asarray(y0, dtype=float), cfg.max_steps)
+    h_cap = min(cfg.h_max, tau)
+    # A completed run takes at least (t_end - t0) / h_cap steps, and a few
+    # more while the initial step ramps up to the cap; the attempt budget
+    # bounds the count.
+    steps = math.ceil(min(cfg.max_steps, (t_end - t0) / h_cap))
+    rows = 1 + min(cfg.max_steps, steps + _SLACK_ROWS)
+    builder = _Builder(t0, np.asarray(y0, dtype=float), cfg.max_steps, rows)
     past = None if tau == math.inf else (
         lambda ts: lag_map(builder.evaluate(np.maximum(ts - tau, t0))))
-    h_cap = min(cfg.h_max, tau)
     status, h_next, k = "completed", cfg.h_init, 1
     while status == "completed" and builder.t_last < t_end:
         stop = min(t0 + k * tau, t_end)

@@ -11,11 +11,12 @@ arrays that broadcast together; scalar inputs give a scalar. The IDM law
 and the tracking rule are numpy operations. The FollowerStopper command is
 plain float arithmetic on one vehicle (``_fs_select``), which computes only
 the band the gap lies in: ``fs_command``, ``fs_region`` and
-``fs_boundary`` run it directly on Python floats, and entry by entry
-(``np.vectorize``) on arrays and numpy scalars. IDM coefficients are one
-vehicle's ``IdmParams`` or the ``IdmColumns`` of several vehicles, which
-carry the same attribute names with one array entry per vehicle;
-FollowerStopper coefficients are one vehicle's ``FsParams``.
+``fs_boundary`` run it directly on floats, ``np.float64`` included (a
+command or boundary comes back as a Python float), and entry by entry
+(``np.vectorize``) on arrays and other numpy scalars. IDM coefficients
+are one vehicle's ``IdmParams`` or the ``IdmColumns`` of several
+vehicles, which carry the same attribute names with one array entry per
+vehicle; FollowerStopper coefficients are one vehicle's ``FsParams``.
 
 Sign conventions differ between the two laws and are documented on each
 function; mapping a fleet's leader/follower speeds onto these arguments is
@@ -226,8 +227,8 @@ def fs_boundary(j: int, dv, p: FsParams):
     """
     if j not in (1, 2, 3):
         raise ValueError(f"boundary index must be 1, 2 or 3, got {j}")
-    if type(dv) is float:
-        return _fs_boundaries(dv, p)[j - 1]
+    if isinstance(dv, float):
+        return _fs_boundaries(float(dv), p)[j - 1]
     return np.vectorize(lambda d: _fs_boundaries(d, p)[j - 1], otypes=[float])(dv)[()]
 
 
@@ -279,8 +280,8 @@ def fs_region(dx, dv, p: FsParams):
     of region codes.
     """
     _check_gap(dx, "FollowerStopper")
-    if type(dx) is type(dv) is float:
-        return _fs_select(dx, dv, 0.0, p)[0]
+    if isinstance(dx, float) and isinstance(dv, float):
+        return _fs_select(float(dx), float(dv), 0.0, p)[0]
     region = np.vectorize(lambda x, d: _fs_select(x, d, 0.0, p)[0],
                           otypes=[np.int64])(dx, dv)[()]
     return FsRegion(region) if np.ndim(region) == 0 else region
@@ -294,8 +295,8 @@ def fs_command(dx, dv, v_lead, p: FsParams):
     ramping on to r at d3, and r beyond, over the bands of ``fs_region``.
     """
     _check_gap(dx, "FollowerStopper")
-    if type(dx) is type(dv) is type(v_lead) is float:
-        return _fs_select(dx, dv, v_lead, p)[1]
+    if isinstance(dx, float) and isinstance(dv, float) and isinstance(v_lead, float):
+        return _fs_select(float(dx), float(dv), float(v_lead), p)[1]
     return np.vectorize(lambda x, d, v: _fs_select(x, d, v, p)[1],
                         otypes=[float])(dx, dv, v_lead)[()]
 

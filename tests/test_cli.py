@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringsim import analysis, cli
+from ringsim import analysis, cli, ring
 from ringsim.analysis import fundamental_diagram
 from ringsim.integrators import IntegratorConfig
 from ringsim.models import FsParams, IdmParams
@@ -424,6 +424,24 @@ class TestCollisionStats:
         assert last_gap < 1e-6
         assert stats["min_gap_m"] == last_gap
         assert stats["max_density_cars_per_m"] == 1.0 / last_gap
+
+    def test_run_one_reports_the_full_trajectory_end(self, tmp_path):
+        # run_one keeps only the end of a sampled run; its collision stats and
+        # events.csv row equal those computed from the whole trajectory
+        cfg = cli.config_from_dict(_CRASH)
+        code, stats = cli.run_one(cfg, str(tmp_path / "out"))
+        assert code == cli.EXIT_COLLISION
+        traj = simulate(cfg.scenario, cfg.integrator)
+        series = ring.sample(traj, cfg.scenario)
+        x = traj.states[-1, 0::2]
+        min_gap = min(float(series.gaps().min()), float(((x[[1, 0]] - x) % 60.0).min()))
+        t, exc = traj.events[-1]
+        assert stats["min_gap_m"] == min_gap
+        assert stats["collision_time_s"] == t
+        assert stats == cli.compute_stats(cfg, traj, series,
+                                          analysis.stop_events(series, cfg.analysis.stop_speed))
+        last = (tmp_path / "out" / "events.csv").read_text().splitlines()[-1]
+        assert last == f"{cli.FLOAT_FMT % t},collision,{exc.vehicle}"
 
     def test_events_stop_rows_then_collision(self, tmp_path):
         # the IDM leader brakes below the stop threshold by the first sample

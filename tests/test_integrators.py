@@ -288,7 +288,7 @@ class TestDde:
     def test_lookup_past_last_instant(self):
         # a lookup past the last stored instant by rounding reads its state;
         # one further on is a logic error
-        builder = integrators._Builder(0.0, np.zeros(1), 10)
+        builder = integrators._Builder(0.0, np.zeros(1), 10, 2)
         builder.append(3.9, np.ones(1), np.zeros((1, 4)), 3.9)
         assert np.array_equal(builder.evaluate(3.9000000000000004), [1.0])
         with pytest.raises(AssertionError, match="beyond computed solution"):
@@ -322,16 +322,18 @@ class TestDde:
         append = integrators._Builder.append
 
         def checked_append(builder, t, y, coeff, h):
+            if not builders:
+                builders.append((builder, builder.times.size))
             append(builder, t, y, coeff, h)
             assert np.array_equal(builder.evaluate(t), y)
-            if not builders:
-                builders.append(builder)
 
         monkeypatch.setattr(integrators._Builder, "append", checked_append)
         cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, h_max=0.1)
         integrate_dde(dde_rhs, [1.0, 0.5], 0.3, (0.0, 60.0), cfg)
-        (builder,) = builders
-        assert builder.n > 512  # outgrew the storage the builder starts with
+        ((builder, start_rows),) = builders
+        # the tolerance, not the step cap, sets the step: the run outgrows
+        # the storage sized from the cap, so lookups span a regrown copy
+        assert builder.times.size > start_rows
         for i in range(builder.n):
             t = float(builder.times[i])
             assert np.array_equal(builder.evaluate(t), builder.states[i])

@@ -158,6 +158,23 @@ def _random_fs_draws(n, seed=1234):
     return draws
 
 
+# Non-finite and signed-zero FollowerStopper inputs (dx, dv, v_lead), with
+# the command and the region each gives
+_EDGE_INPUTS = [
+    ((3.5, math.nan, 5.0), 4.75, FsRegion.FREE),
+    ((3.5, 0.0, math.nan), math.nan, FsRegion.BLEND),
+    ((3.5, 0.0, math.inf), 4.75, FsRegion.BLEND),
+    ((3.5, 0.0, -math.inf), 1.5833333333333333, FsRegion.BLEND),
+    ((math.inf, 0.0, 5.0), 4.75, FsRegion.FREE),
+    ((2.625, -0.0, 5.0), 2.375, FsRegion.FOLLOW),
+    ((2.625, 0.0, -0.0), 0.0, FsRegion.FOLLOW),
+    ((3.5, -math.inf, 5.0), 0.0, FsRegion.STOP),
+    ((math.nan, 0.0, 5.0), 4.75, FsRegion.FREE),
+]
+_EDGE_IDS = ["nan_dv", "nan_leader", "inf_leader", "minus_inf_leader", "inf_gap",
+             "minus_zero_dv", "minus_zero_leader", "minus_inf_dv", "nan_gap"]
+
+
 class TestFsCommand:
     def test_stop_region(self):
         assert fs_command(1.0, 0.0, 5.0, FS) == 0.0
@@ -193,18 +210,7 @@ class TestFsCommand:
         with pytest.raises(CollisionError):
             fs_command(-0.5, 0.0, 5.0, FS)
 
-    @pytest.mark.parametrize("args, want, region", [
-        ((3.5, math.nan, 5.0), 4.75, FsRegion.FREE),
-        ((3.5, 0.0, math.nan), math.nan, FsRegion.BLEND),
-        ((3.5, 0.0, math.inf), 4.75, FsRegion.BLEND),
-        ((3.5, 0.0, -math.inf), 1.5833333333333333, FsRegion.BLEND),
-        ((math.inf, 0.0, 5.0), 4.75, FsRegion.FREE),
-        ((2.625, -0.0, 5.0), 2.375, FsRegion.FOLLOW),
-        ((2.625, 0.0, -0.0), 0.0, FsRegion.FOLLOW),
-        ((3.5, -math.inf, 5.0), 0.0, FsRegion.STOP),
-        ((math.nan, 0.0, 5.0), 4.75, FsRegion.FREE),
-    ], ids=["nan_dv", "nan_leader", "inf_leader", "minus_inf_leader", "inf_gap",
-            "minus_zero_dv", "minus_zero_leader", "minus_inf_dv", "nan_gap"])
+    @pytest.mark.parametrize("args, want, region", _EDGE_INPUTS, ids=_EDGE_IDS)
     def test_non_finite_and_signed_zero_inputs(self, args, want, region):
         # only the selected band is computed, so a discarded band that would
         # form inf - inf or 0 * inf never runs and nothing warns
@@ -215,6 +221,26 @@ class TestFsCommand:
         assert type(got) is float
         assert repr(got) == repr(want)  # tells 0.0 from -0.0 and matches NaN to NaN
         assert type(got_region) is FsRegion and got_region is region
+
+    @pytest.mark.parametrize("args", [
+        (1.0, -1.0, 3.0), (3.0, -1.0, 3.0), (5.0, -1.0, 3.0), (100.0, -1.0, 3.0),
+    ] + [args for args, _, _ in _EDGE_INPUTS],
+        ids=["stop", "follow", "blend", "free"] + _EDGE_IDS)
+    def test_float64_inputs_match_python_floats(self, args):
+        # np.float64 is a float subclass and takes the float body: the same
+        # bits, result types and (no) warnings as the Python float, whether
+        # every input or only the gap is one
+        def laws(dx, dv, v_lead):
+            return ([fs_command(dx, dv, v_lead, FS), fs_region(dx, dv, FS)]
+                    + [fs_boundary(j, dv, FS) for j in (1, 2, 3)])
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = laws(*args)
+            for given in ([np.float64(a) for a in args], [np.float64(args[0]), *args[1:]]):
+                got = laws(*given)
+                assert [type(g) for g in got] == [type(w) for w in want]
+                assert [repr(g) for g in got] == [repr(w) for w in want]
 
 
 class TestFsAccel:

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -577,3 +580,43 @@ class TestRingSeries:
         assert w.times[0] >= 4.0
         assert w.times[-1] <= 6.0
         assert w.positions.shape[0] == w.times.size
+
+
+class TestMemory:
+    def test_simulate_holds_its_dense_output_once(self):
+        # the 22-car, 230 m ring of Sugiyama et al. over 300 s: storage is
+        # sized from the step cap, never regrown, and handed over uncopied
+        sc = RingScenario(ring_length=230.0, controllers=(IdmParams(),) * 22, t_end=300.0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            traj = simulate(sc)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        held = sum(a.nbytes for a in (traj.times, traj.states, traj._coeffs, traj._h))
+        assert peak <= 1.25 * held
+
+    @pytest.mark.parametrize("collision", [False, True], ids=["completed", "collision"])
+    def test_final_frees_the_dense_output(self, collision):
+        # without the cycle collector: the storage goes when the last
+        # reference to the full trajectory does, a collision's event included
+        if collision:
+            scenario, z0 = crash_scenario(0.5)
+        else:
+            scenario, z0 = replace(build_uniform_scenario("idm_delayed"), t_end=20.0), None
+        gc.disable()
+        try:
+            traj = simulate(scenario, z0=z0)
+            storage = weakref.ref(traj._coeffs.base)
+            end = traj.final()
+            status, events, last = traj.status, traj.events, traj.states[-1].copy()
+            del traj
+            assert storage() is None
+        finally:
+            gc.enable()
+        assert status == ("terminated" if collision else "completed")
+        assert end.status == status and end.events == events
+        assert np.array_equal(end.states, [last]) and end.times.size == 1
+        assert np.array_equal(end.evaluate(end.t_end), last)
