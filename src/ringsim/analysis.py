@@ -454,24 +454,32 @@ def stop_events(series: RingSeries, v_stop: float = 0.1) -> list[tuple[float, in
 class FleetStats:
     """Cross-fleet summary of one series.
 
-    v_std_series : per-instant standard deviation of the fleet speeds
-    stop_event_count : downward stop-threshold crossings over the series
+    v_std_series : per-instant standard deviation of the fleet speeds (m/s)
+    stops : (time, vehicle) of each stop event, as ``stop_events`` gives them
     min_gap : smallest gap anywhere in the series (m)
     max_density : largest per-vehicle density anywhere (cars/m)
+    median_density : median per-vehicle density over all samples (cars/m)
     """
 
     v_std_series: np.ndarray
-    stop_event_count: int
+    stops: list[tuple[float, int]]
     min_gap: float
     max_density: float
+    median_density: float
 
 
 def fleet_stats(series: RingSeries, v_stop: float = 0.1) -> FleetStats:
+    """The fleet numbers of a sampled run; v_stop is the stop threshold (m/s).
+
+    This is the one reduction of a series to its speed spread, stop events,
+    gap and density extremes; ``ringsim run`` builds stats.json from it.
+    """
     gaps = series.gaps()
-    min_gap = float(gaps.min())
+    density = voronoi_density(gaps)
     return FleetStats(
         v_std_series=series.velocities.std(axis=1),
-        stop_event_count=len(stop_events(series, v_stop)),
-        min_gap=min_gap,
-        max_density=float(voronoi_density(gaps).max()),
+        stops=stop_events(series, v_stop),
+        min_gap=float(gaps.min()),
+        max_density=float(density.max()),
+        median_density=float(np.median(density)),
     )

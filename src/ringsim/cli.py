@@ -70,6 +70,11 @@ class AnalysisSettings:
     final_window_s: float = 100.0
 
     def __post_init__(self):
+        # the manifest echoes every field and cannot hold inf or NaN
+        for name in ("fit_window_s", "trim_s", "stop_speed", "settle_window_s",
+                     "final_window_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         for name in ("lyapunov_vehicle", "trim_s", "stop_speed",
                      "settle_window_s", "final_window_s"):
             if not getattr(self, name) >= 0:
@@ -349,22 +354,23 @@ def write_artifacts(out_dir: str, cfg: RunConfig, traj, series) -> dict:
 
     Each enabled table (trajectory, fd, heatmap, phase) is built here and
     written by its own forked writer process, while this process computes
-    the stats and writes events.csv, stats.json and manifest.json. Every
-    writer is reaped before this returns or raises. A failed writer raises
-    OSError naming its file, unless an exception is already propagating.
-    Needs POSIX os.fork. Of traj, only what compute_stats reads is used.
+    the stats from the series' ``analysis.fleet_stats`` and writes
+    events.csv, stats.json and manifest.json. Every writer is reaped
+    before this returns or raises. A failed writer raises OSError naming
+    its file, unless an exception is already propagating. Needs POSIX
+    os.fork. Of traj, only what compute_stats reads is used.
     """
     os.makedirs(out_dir, exist_ok=True)
     writers = {}  # pid -> table file name
     try:
         _fork_tables(writers, out_dir, cfg, series)
-        stops = analysis.stop_events(series, cfg.analysis.stop_speed)
-        stats = compute_stats(cfg, traj, series, stops)
+        fleet = analysis.fleet_stats(series, cfg.analysis.stop_speed)
+        stats = compute_stats(cfg, traj, series, fleet)
         _write_json(os.path.join(out_dir, "stats.json"), stats)
 
         # stop rows first, then the collision that ended the run, if any;
         # with no events the table is the header alone
-        events = [(t, "stop", veh) for t, veh in stops]
+        events = [(t, "stop", veh) for t, veh in fleet.stops]
         events += [(t, "collision", exc.vehicle) for t, exc in traj.events]
         _write_table(os.path.join(out_dir, "events.csv"), "t_s,event,vehicle",
                      list(zip(*events)) or [()] * 3, [FLOAT_FMT, "%s", "%d"])
@@ -381,24 +387,25 @@ def _finite_or_none(x):
     return float(x) if x is not None and math.isfinite(x) else None
 
 
-def compute_stats(cfg: RunConfig, traj, series, stops) -> dict:
-    """The stats.json mapping of a run; stops are the series' stop events.
+def compute_stats(cfg: RunConfig, traj, series, fleet: analysis.FleetStats) -> dict:
+    """The stats.json mapping of a run; fleet is the series' fleet_stats.
 
-    Of traj it reads the status, the events and the last accepted state,
-    so the run's ``Trajectory.final()`` serves as well as the whole of it.
+    It adds what needs the config or traj: the settle and final windows,
+    the collision's end-state gap and lambda. Of traj it reads the status,
+    the events and the last accepted state, so the run's
+    ``Trajectory.final()`` serves as well as the whole of it.
     """
     sc = cfg.scenario
     an = cfg.analysis
-    gaps = series.gaps()
-    density = analysis.voronoi_density(gaps)
+    stops = fleet.stops
     first_stop = stops[0][0] if stops else None
     after_settle = [e for e in stops if e[0] > an.settle_window_s]
-    final = series.window(series.times[-1] - an.final_window_s)
-    final_v_std = float(final.velocities.std(axis=1).max())
+    in_final = series.times >= series.times[-1] - an.final_window_s
+    final_v_std = float(fleet.v_std_series[in_final].max())
 
     collision = traj.status == "terminated"
     collision_time = traj.events[-1][0] if collision else None
-    min_gap, max_density = float(gaps.min()), float(density.max())
+    min_gap, max_density = fleet.min_gap, fleet.max_density
     lyap = None
     lyap_error = None
     if collision:
@@ -434,7 +441,7 @@ def compute_stats(cfg: RunConfig, traj, series, stops) -> dict:
         "lambda_max": _finite_or_none(lyap.lambda_max) if lyap else None,
         "lyapunov": None,
         "max_density_cars_per_m": max_density,
-        "median_density_cars_per_m": float(np.median(density)),
+        "median_density_cars_per_m": fleet.median_density,
         "min_gap_m": min_gap,
         "stop_event_count": len(stops),
         "stop_events_after_settle": len(after_settle),
@@ -498,7 +505,7 @@ def _fmt_cell(x):
 
 
 def cmd_run(args) -> int:
-    if args.config:
+    if args.config is not None:
         try:
             with open(args.config) as fh:
                 raw = json.load(fh)
@@ -506,10 +513,8 @@ def cmd_run(args) -> int:
             raise ConfigError("config", f"cannot read {args.config}: {exc}") from exc
         except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
             raise ConfigError("config", f"invalid JSON in {args.config}: {exc}") from exc
-    elif args.preset:
-        raw = {"scenario": {"preset": args.preset}}
     else:
-        raise ConfigError("run", "either --preset or --config is required")
+        raw = {"scenario": {"preset": args.preset}}
     cfg = _config_with_overrides(raw, args)
     out_dir = args.out or cfg.outputs.dir or _default_out_dir()
     code, stats = run_one(cfg, out_dir)
@@ -589,8 +594,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="integrate one scenario and write artifacts")
-    run_p.add_argument("--preset", choices=ring.PRESET_NAMES, help="stock scenario name")
-    run_p.add_argument("--config", help="JSON config file (or a manifest from a prior run)")
+    source = run_p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--preset", choices=ring.PRESET_NAMES, help="stock scenario name")
+    source.add_argument("--config", help="JSON config file (or a manifest from a prior run)")
     run_p.add_argument("-o", "--out", help=f"output directory (default ${OUT_ENV_VAR} or ./runs)")
     run_p.set_defaults(func=cmd_run)
 

@@ -431,9 +431,10 @@ class TestFleetStats:
     def test_uniform_flow(self):
         stats = fleet_stats(uniform_series())
         assert np.allclose(stats.v_std_series, 0.0)
-        assert stats.stop_event_count == 0
+        assert stats.stops == []
         assert stats.min_gap == pytest.approx(10.0)
         assert stats.max_density == pytest.approx(0.1)
+        assert stats.median_density == pytest.approx(0.1)
 
     def test_stop_events_are_entries(self):
         series = uniform_series(n_t=100)
@@ -445,7 +446,7 @@ class TestFleetStats:
         assert len(events) == 3
         assert events[0] == (0.0, 5)
         stats = fleet_stats(series, v_stop=0.1)
-        assert stats.stop_event_count == 3
+        assert stats.stops == events
 
     def test_min_gap_and_max_density_consistent(self):
         series = uniform_series()
@@ -453,3 +454,19 @@ class TestFleetStats:
         stats = fleet_stats(series)
         assert stats.min_gap == pytest.approx(0.5, abs=1e-9)
         assert stats.max_density == pytest.approx(2.0, rel=1e-9)
+
+    def test_summary_matches_its_parts(self):
+        # each field is the plain numpy reduction of the series it summarizes
+        rng = np.random.default_rng(7)
+        series = uniform_series(n_t=90)
+        series.velocities[:] = rng.uniform(0.0, 0.3, series.velocities.shape)
+        series.positions[:] = (series.positions + rng.uniform(-2, 2, series.positions.shape)) % 100
+        stats = fleet_stats(series, v_stop=0.15)
+        assert stats.stops == stop_events(series, v_stop=0.15) != []
+        density = voronoi_density(series.gaps())
+        assert np.array_equal(stats.v_std_series, series.velocities.std(axis=1))
+        assert stats.min_gap == series.gaps().min()
+        assert stats.max_density == density.max()
+        assert stats.median_density == np.median(density)
+        assert all(type(x) is float for x in (stats.min_gap, stats.max_density,
+                                              stats.median_density))

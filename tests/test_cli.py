@@ -183,7 +183,19 @@ class TestConfigErrors:
         assert run_cli("run", "--config", str(path)) == cli.EXIT_CONFIG
 
     def test_run_requires_source(self, capsys):
-        assert run_cli("run") == cli.EXIT_CONFIG
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run")
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "one of the arguments --preset --config is required" in capsys.readouterr().err
+
+    def test_run_rejects_preset_and_config_together(self, tmp_path, capsys):
+        path = short_run_config(tmp_path)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exc:
+            run_cli("run", "--preset", "mixed", "--config", path, "-o", str(out))
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_integer_over_digit_limit(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -246,6 +258,14 @@ class TestConfigErrors:
     def test_dataclass_bounds_reject_nan(self, make):
         with pytest.raises(ValueError):
             make()
+
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    @pytest.mark.parametrize("name", ["fit_window_s", "trim_s", "stop_speed",
+                                      "settle_window_s", "final_window_s"])
+    def test_analysis_settings_reject_non_finite(self, name, value):
+        # a library caller bypasses the config parser's finiteness check
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            cli.AnalysisSettings(**{name: value})
 
     @pytest.mark.parametrize("argv, field", [
         (["run", "--preset", "idm", "--rel-tol", "0"], "rel_tol"),
@@ -439,7 +459,7 @@ class TestCollisionStats:
         assert stats["min_gap_m"] == min_gap
         assert stats["collision_time_s"] == t
         assert stats == cli.compute_stats(cfg, traj, series,
-                                          analysis.stop_events(series, cfg.analysis.stop_speed))
+                                          analysis.fleet_stats(series, cfg.analysis.stop_speed))
         last = (tmp_path / "out" / "events.csv").read_text().splitlines()[-1]
         assert last == f"{cli.FLOAT_FMT % t},collision,{exc.vehicle}"
 
@@ -539,6 +559,33 @@ class TestRunWork:
         # fundamental diagram, phase projection and stats share one matrix
         assert len(gaps) >= 3 and all(g is gaps[0] for g in gaps)
         assert len(scans) == 1
+
+    def test_one_fleet_summary_per_run(self, tmp_path, monkeypatch):
+        calls = []
+        fleet_stats = analysis.fleet_stats
+
+        def counted(*args):
+            calls.append(args)
+            return fleet_stats(*args)
+
+        monkeypatch.setattr(analysis, "fleet_stats", counted)
+        cfg = cli.config_from_dict({"scenario": {"preset": "idm", "t_end": 10.0}})
+        assert cli.run_one(cfg, str(tmp_path))[0] == cli.EXIT_OK
+        assert len(calls) == 1
+
+    def test_final_spread_equals_the_window_copy(self):
+        # compute_stats reads the final spread from the summary's spread
+        # series; it equals, bit for bit, the spread of a copied final window
+        cfg = cli.config_from_dict({"scenario": {"preset": "mixed", "t_end": 30.0}})
+        traj = simulate(cfg.scenario, cfg.integrator)
+        series = ring.sample(traj, cfg.scenario)
+        fleet = analysis.fleet_stats(series, cfg.analysis.stop_speed)
+        for window in (0.0, 1 / 30, 7.3, 20.0, 100.0):
+            cfg.analysis.final_window_s = window
+            copied = series.window(series.times[-1] - window)
+            old = float(copied.velocities.std(axis=1).max())
+            stats = cli.compute_stats(cfg, traj.final(), series, fleet)
+            assert repr(stats["final_v_std_m_per_s"]) == repr(old) != "0.0", window
 
 
 def assert_no_child_left():
