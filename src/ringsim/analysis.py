@@ -27,6 +27,9 @@ __all__ = [
     "fleet_stats",
 ]
 
+_HEATMAP_BLOCK = 4096  # instants per block in ``heatmap_grid``
+
+
 def voronoi_density(gaps) -> np.ndarray:
     """Per-vehicle density estimate k = 1/gap (cars/m).
 
@@ -111,10 +114,10 @@ def _mean_period(x: np.ndarray) -> int:
 
 # Neighbour-search sizes: points per k-d tree leaf, query leaves searched
 # per block and (query, leaf) pairs handled at once. Together they keep the
-# search's working memory to tens of MB for series of ~45k points.
+# search's traced peak to about 15 MB for series of ~45k points.
 _LEAF_SIZE = 32
-_LEAF_BLOCK = 128
-_PAIR_CHUNK = 1 << 13
+_LEAF_BLOCK = 32
+_PAIR_CHUNK = 1 << 11
 
 _MIN_PAIRS = 10  # fewest neighbour pairs an exponent estimate is taken from
 
@@ -410,7 +413,9 @@ def phase_projection(series: RingSeries) -> tuple[np.ndarray, np.ndarray]:
     point and sustained waves trace closed orbits.
     """
     v = series.velocities
-    return series.gaps(), v[:, series.leader_index()] - v
+    dv = v[:, series.leader_index()]
+    dv -= v
+    return series.gaps(), dv
 
 
 def heatmap_grid(series: RingSeries, n_bins: int = 100):
@@ -419,20 +424,37 @@ def heatmap_grid(series: RingSeries, n_bins: int = 100):
     Returns (rows, bins, mean_v): the sample index, bin index and mean speed
     of every cell holding at least one vehicle, in row-major cell order.
     Empty cells are not returned, so memory does not grow with n_bins.
+
+    The cells are found one block of _HEATMAP_BLOCK instants at a time. A
+    cell never spans two blocks, so each block's sums are complete, and
+    they go straight into the three outputs, which hold at most one entry
+    per vehicle per instant.
     """
     if n_bins < 1:
         raise ValueError("n_bins must be at least 1")
-    n_t = series.times.size
+    n_t, n_veh = series.velocities.shape
     if n_t * int(n_bins) >= 2**63:
         raise ValueError(f"{n_t} samples x {n_bins} bins overflow the int64 cell index")
-    length = series.ring_length
-    bins = np.minimum((series.positions / (length / n_bins)).astype(int), n_bins - 1)
-    # Sum over the occupied cells only (at most one per vehicle per instant);
-    # bincount adds each cell's speeds in input order, as np.add.at does.
-    cells, which = np.unique((np.arange(n_t)[:, None] * n_bins + bins).ravel(),
-                             return_inverse=True)
-    rows, bins = np.divmod(cells, n_bins)
-    return rows, bins, np.bincount(which, weights=series.velocities.ravel()) / np.bincount(which)
+    width = series.ring_length / n_bins
+    rows = np.empty(n_t * n_veh, dtype=np.int64)
+    bins = np.empty_like(rows)
+    mean_v = np.empty(rows.size)
+    k = 0
+    for i in range(0, n_t, _HEATMAP_BLOCK):
+        blk = slice(i, i + _HEATMAP_BLOCK)
+        cell_bin = np.minimum((series.positions[blk] / width).astype(int), n_bins - 1)
+        instant = np.arange(i, i + len(cell_bin))[:, None]
+        # sum over the block's occupied cells only; bincount adds each
+        # cell's speeds in input order, as np.add.at does
+        cells, which = np.unique((instant * n_bins + cell_bin).ravel(), return_inverse=True)
+        end = k + cells.size
+        np.divmod(cells, n_bins, out=(rows[k:end], bins[k:end]))
+        np.divide(np.bincount(which, weights=series.velocities[blk].ravel()),
+                  np.bincount(which), out=mean_v[k:end])
+        k = end
+    for out in (rows, bins, mean_v):
+        out.resize(k, refcheck=False)  # shrinks in place, no copy
+    return rows, bins, mean_v
 
 
 def stop_events(series: RingSeries, v_stop: float = 0.1) -> list[tuple[float, int]]:
@@ -473,13 +495,21 @@ def fleet_stats(series: RingSeries, v_stop: float = 0.1) -> FleetStats:
 
     This is the one reduction of a series to its speed spread, stop events,
     gap and density extremes; ``ringsim run`` builds stats.json from it.
+    The densities are those of ``voronoi_density`` over every gap, read off
+    the gaps' order statistics without a density matrix: a correctly
+    rounded 1/gap never rises as the gap grows, so the largest density is
+    1/min gap and the middle densities are the reciprocals of the middle
+    gaps.
     """
-    gaps = series.gaps()
-    density = voronoi_density(gaps)
+    gaps = series.gaps().ravel()
+    min_gap = float(gaps.min())
+    if min_gap <= 0:
+        raise ValueError("density is undefined for nonpositive gaps")
+    mid = sorted({(gaps.size - 1) // 2, gaps.size // 2})
     return FleetStats(
         v_std_series=series.velocities.std(axis=1),
         stops=stop_events(series, v_stop),
-        min_gap=float(gaps.min()),
-        max_density=float(density.max()),
-        median_density=float(np.median(density)),
+        min_gap=min_gap,
+        max_density=1.0 / min_gap,
+        median_density=float(np.median(1.0 / np.partition(gaps, mid)[mid])),
     )

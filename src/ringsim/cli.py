@@ -269,13 +269,21 @@ def _cells(fmt: str, values) -> np.ndarray:
 
 def _write_table(path, header: str, columns, fmts) -> None:
     """Write a CSV file: the header line, then row i of the columns formatted
-    with fmts, _ROW_BLOCK rows at a time. A column of cells from ``_cells``
-    takes the format "%s"."""
+    with fmts, _ROW_BLOCK rows at a time.
+
+    A column is a sequence with one value per row, or a function that maps
+    an array of row indices to their values; such a column is expanded one
+    block at a time, and at least one column must be a sequence. A column
+    of cells from ``_cells`` takes the format "%s".
+    """
     fmt = ",".join(fmts) + "\n"
+    n_rows = len(next(col for col in columns if not callable(col)))
     with open(path, "w") as fh:
         fh.write(header + "\n")
-        for i in range(0, len(columns[0]), _ROW_BLOCK):
-            block = [np.asarray(col[i:i + _ROW_BLOCK]).tolist() for col in columns]
+        for i in range(0, n_rows, _ROW_BLOCK):
+            r = np.arange(i, min(i + _ROW_BLOCK, n_rows))
+            block = [np.asarray(col(r) if callable(col) else col[i:i + _ROW_BLOCK]).tolist()
+                     for col in columns]
             fh.write("".join(fmt % row for row in zip(*block)))
 
 
@@ -306,15 +314,18 @@ def _fork_tables(writers: dict, out_dir: str, cfg: RunConfig, series) -> None:
     each writer in writers as pid -> file name.
 
     A table's columns are dropped as soon as its writer is forked, so the
-    caller's later work does not hold them.
+    caller's later work does not hold them. Each instant's time and each
+    vehicle index is formatted once per run; the writers expand them to
+    their rows one block at a time.
     """
     out = cfg.outputs
     if not (out.trajectory or out.fd or out.heatmap or out.phase):
         return
-    n_t, n_veh = series.velocities.shape
-    # each instant's time and each vehicle index is formatted once per run
+    n_veh = series.n_vehicles
     t_cells = _cells(FLOAT_FMT, series.times)
-    fleet = [np.repeat(t_cells, n_veh), np.tile(_cells("%d", np.arange(n_veh)), n_t)]
+    vehicle_cells = _cells("%d", np.arange(n_veh))
+    # row r of a fleet table is vehicle r % n_veh at instant r // n_veh
+    fleet = [lambda r: t_cells[r // n_veh], lambda r: vehicle_cells[r % n_veh]]
 
     def fork(name, header, columns, fmts):
         writers[_fork_writer(os.path.join(out_dir, name), header, columns, fmts)] = name
@@ -331,8 +342,9 @@ def _fork_tables(writers: dict, out_dir: str, cfg: RunConfig, series) -> None:
                     *analysis.fundamental_diagram(series), series.velocities)
     if out.heatmap:
         rows, bins, mean_v = analysis.heatmap_grid(series, cfg.analysis.heatmap_bins)
+        # the t column binds rows as a default, so the del below leaves it intact
         fork("heatmap.csv", "t_s,bin,mean_v_m_per_s",
-             [t_cells[rows], bins, mean_v], ["%s", "%d", FLOAT_FMT])
+             [lambda r, rows=rows: t_cells[rows[r]], bins, mean_v], ["%s", "%d", FLOAT_FMT])
         del rows, bins, mean_v
     if out.phase:
         fleet_table("phase.csv", "gap_m,dv_m_per_s", *analysis.phase_projection(series))

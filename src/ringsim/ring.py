@@ -369,22 +369,22 @@ def sample(traj: integrators.Trajectory, scenario: RingScenario) -> RingSeries:
 
     The grid starts at the trajectory's first instant and steps by
     1/sample_hz; the final grid point never exceeds the trajectory end.
-    The grid is evaluated in blocks, which bounds the temporary arrays.
+    The grid is evaluated in blocks, each wrapped and clamped straight into
+    the series' arrays, so no temporary is larger than one block.
     """
     t0, t1 = float(traj.times[0]), traj.t_end
     hz = scenario.sample_hz
     n = int(math.floor((t1 - t0) * hz + 1e-9)) + 1
     times = t0 + np.arange(n) / hz
     times[-1] = min(times[-1], t1)
-    states = np.empty((n, traj.states.shape[1]))
+    positions = np.empty((n, traj.states.shape[1] // 2))
+    velocities = np.empty_like(positions)
     for i in range(0, n, _SAMPLE_BLOCK):
-        states[i:i + _SAMPLE_BLOCK] = traj.evaluate(times[i:i + _SAMPLE_BLOCK])
-    return RingSeries(
-        times=times,
-        positions=states[:, 0::2] % scenario.ring_length,
-        velocities=np.maximum(states[:, 1::2], 0.0),
-        ring_length=scenario.ring_length,
-    )
+        z = traj.evaluate(times[i:i + _SAMPLE_BLOCK])
+        np.remainder(z[:, 0::2], scenario.ring_length, out=positions[i:i + _SAMPLE_BLOCK])
+        np.maximum(z[:, 1::2], 0.0, out=velocities[i:i + _SAMPLE_BLOCK])
+        del z  # before the next block is evaluated
+    return RingSeries(times, positions, velocities, scenario.ring_length)
 
 
 def equilibrium_scenario(preset: str = "idm", seed: int = 1) -> RingScenario:

@@ -241,6 +241,16 @@ class TestNearestNeighbors:
         _, dist = assert_matches_oracle(Y, 300)
         assert np.all(np.isinf(dist))
 
+    def test_max_lyapunov_memory(self, traced_peak):
+        # a stock run's 45 001 samples: about 15 MB, where leaf blocks of
+        # 128 and pair chunks of 8192 took 33 MB
+        rng = np.random.default_rng(3)
+        n = 45_001
+        x = np.sin(2 * np.pi * np.arange(n) / 600) + 0.05 * rng.standard_normal(n)
+        res, peak = traced_peak(max_lyapunov, x, sample_rate=30.0)
+        assert not res.degenerate and res.n_points > 44_000
+        assert peak < 20e6
+
     def test_memory_below_gram_buffer(self):
         rng = np.random.default_rng(3)
         n, lag = 45_300, 150
@@ -375,6 +385,16 @@ class TestHeatmap:
         assert np.allclose(mean_v, series.velocities.mean(axis=1))
 
     def test_matches_add_at_oracle(self):
+        self.check_add_at_oracle()
+
+    @pytest.mark.parametrize("block", [1, 7, 49])
+    def test_blocks_match_add_at_oracle(self, monkeypatch, block):
+        # 50 instants: blocks of 7 and 49 leave a partial last block
+        monkeypatch.setattr(analysis, "_HEATMAP_BLOCK", block)
+        self.check_add_at_oracle()
+
+    @staticmethod
+    def check_add_at_oracle():
         # vehicles crowded into few bins: cells hold several speeds, whose
         # sum must be added in the order np.add.at adds them
         rng = np.random.default_rng(9)
@@ -411,6 +431,18 @@ class TestHeatmap:
         assert rows.size == 31 * 10
         # a dense float64 grid would take 31 * 10**6 * 8 bytes = 248 MB
         assert peak < 1 << 20
+
+    def test_memory_is_outputs_plus_one_block(self, monkeypatch, traced_peak):
+        # each vehicle in a cell of its own, so the outputs are as large as
+        # they get: one entry per vehicle per instant
+        monkeypatch.setattr(analysis, "_HEATMAP_BLOCK", 64)
+        series = uniform_series(n_t=2000)
+        first = RingSeries(series.times[:64], series.positions[:64],
+                           series.velocities[:64], series.ring_length)
+        _, block_peak = traced_peak(heatmap_grid, first)
+        (rows, bins, mean_v), peak = traced_peak(heatmap_grid, series)
+        assert rows.size == series.velocities.size
+        assert peak <= rows.nbytes + bins.nbytes + mean_v.nbytes + block_peak
 
     def test_cell_index_overflow_raises(self):
         series = uniform_series(n_t=2)
@@ -470,3 +502,24 @@ class TestFleetStats:
         assert stats.median_density == np.median(density)
         assert all(type(x) is float for x in (stats.min_gap, stats.max_density,
                                               stats.median_density))
+
+    @pytest.mark.parametrize("n_t,n_veh", [(7, 3), (8, 3), (101, 5), (100, 5)],
+                             ids=["21-odd", "24-even", "505-odd", "500-even"])
+    def test_densities_equal_the_density_matrix(self, n_t, n_veh):
+        # positions drawn from 12 random points of the ring, so that many
+        # gaps tie; the densities equal the old reductions of 1/gap
+        rng = np.random.default_rng(n_t)
+        grid = np.sort(rng.uniform(0, 100.0, 12))
+        positions = np.array([rng.choice(grid, n_veh, replace=False) for _ in range(n_t)])
+        series = RingSeries(np.arange(n_t) / 30.0, positions, np.full((n_t, n_veh), 5.0), 100.0)
+        density = voronoi_density(series.gaps())
+        assert np.unique(series.gaps()).size < series.gaps().size  # ties
+        stats = fleet_stats(series)
+        assert repr(stats.max_density) == repr(float(density.max()))
+        assert repr(stats.median_density) == repr(float(np.median(density)))
+
+    def test_nonpositive_gap_raises(self):
+        series = uniform_series()
+        series.positions[4, 3] = series.positions[4, 2]
+        with pytest.raises(ValueError, match="nonpositive"):
+            fleet_stats(series)

@@ -613,6 +613,75 @@ class TestTableWriters:
             assert open(path, "rb").read() == serial.read_bytes(), path
         assert_no_child_left()
 
+    def test_expanded_columns_equal_repeat_and_tile(self, tmp_path, monkeypatch):
+        # 22 vehicles in blocks of 100 rows, so blocks split instants; every
+        # table equals the one written from columns expanded up front
+        monkeypatch.setattr(cli, "_ROW_BLOCK", 100)
+        monkeypatch.setattr(cli, "_fork_writer", self.in_process_writer)
+        rng = np.random.default_rng(11)
+        n_t, n_veh, length = 37, 22, 230.0
+        series = RingSeries(np.arange(n_t) / 30.0, rng.uniform(0, length, (n_t, n_veh)),
+                            rng.uniform(0, 12, (n_t, n_veh)), length)
+        cfg = cli.config_from_dict({
+            "scenario": {"vehicles": [{"controller": "idm"}] * n_veh, "ring_length": length},
+            "analysis": {"heatmap_bins": 7}})
+        cli._fork_tables({}, str(tmp_path), cfg, series)
+
+        t_cells = cli._cells(cli.FLOAT_FMT, series.times)
+        fleet = [np.repeat(t_cells, n_veh), np.tile(cli._cells("%d", np.arange(n_veh)), n_t)]
+        rows, bins, mean_v = analysis.heatmap_grid(series, 7)
+        assert rows.size < n_t * n_veh  # several vehicles share a cell
+        f = cli.FLOAT_FMT
+        expanded = {
+            "trajectory.csv": (fleet + [series.positions.ravel(), series.velocities.ravel()],
+                               ["%s", "%s", f, f]),
+            "fd.csv": (fleet + [a.ravel() for a in fundamental_diagram(series)]
+                       + [series.velocities.ravel()], ["%s", "%s", f, f, f]),
+            "heatmap.csv": ([t_cells[rows], bins, mean_v], ["%s", "%d", f]),
+            "phase.csv": (fleet + [a.ravel() for a in analysis.phase_projection(series)],
+                          ["%s", "%s", f, f]),
+        }
+        for name, (columns, fmts) in expanded.items():
+            header = (tmp_path / name).read_text().split("\n", 1)[0]
+            cli._write_table(str(tmp_path / "old.csv"), header, columns, fmts)
+            assert (tmp_path / name).read_bytes() == (tmp_path / "old.csv").read_bytes(), name
+
+    @staticmethod
+    def in_process_writer(path, header, columns, fmts):
+        """_fork_writer's stand-in: writes the table in this process and
+        returns its path in place of a pid."""
+        cli._write_table(path, header, columns, fmts)
+        return path
+
+    def test_parent_builds_no_fleet_sized_cell_column(self, tmp_path, monkeypatch,
+                                                       traced_peak):
+        # the tables' t and vehicle cells stay one per instant and one per
+        # vehicle; the parent's peak is the largest table's own outputs
+        monkeypatch.setattr(analysis, "_HEATMAP_BLOCK", 64)
+        columns = []
+
+        def recorded(path, header, cols, fmts):
+            columns.extend((getattr(c, "dtype", None), len(c)) for c in cols if not callable(c))
+            return path
+
+        monkeypatch.setattr(cli, "_fork_writer", recorded)
+        cfg = cli.config_from_dict({"scenario": {"preset": "idm"}})
+        rng = np.random.default_rng(12)
+        n_t = 3000
+        times = np.arange(n_t) / 30.0
+        series = RingSeries(times, (-np.arange(10) * 10.0 + 5.0 * times[:, None]) % 100.0,
+                            rng.uniform(4, 6, (n_t, 10)), 100.0)
+        series.gaps()  # the series' own gap matrix is not the tables'
+        writers = {}
+        _, peak = traced_peak(cli._fork_tables, writers, str(tmp_path), cfg, series)
+        assert sorted(writers.values()) == sorted(TABLE_FILES)
+        n = series.velocities.size
+        assert not [c for c in columns if c == (object, n)]
+        # the heatmap's three outputs, one entry per vehicle per instant here
+        _, heatmap_peak = traced_peak(analysis.heatmap_grid, series)
+        _, cells_peak = traced_peak(cli._cells, cli.FLOAT_FMT, series.times)
+        assert peak <= heatmap_peak + cells_peak + (1 << 16)
+
     @pytest.mark.parametrize("tables", [True, False])
     def test_one_fork_per_enabled_table(self, tmp_path, monkeypatch, tables):
         forks = []

@@ -598,6 +598,18 @@ class TestMemory:
         held = sum(a.nbytes for a in (traj.times, traj.states, traj._coeffs, traj._h))
         assert peak <= 1.25 * held
 
+    def test_sample_holds_the_series_and_one_block(self, monkeypatch, traced_peak):
+        # 9001 instants in blocks of 512: beyond the series it returns,
+        # sample holds no more than one block's evaluation at a time
+        monkeypatch.setattr(ring, "_SAMPLE_BLOCK", 512)
+        sc = replace(build_uniform_scenario("idm"), t_end=300.0)
+        traj = simulate(sc)
+        _, block_peak = traced_peak(traj.evaluate, np.arange(512) / sc.sample_hz)
+        series, peak = traced_peak(sample, traj, sc)
+        held = sum(a.nbytes for a in (series.times, series.positions, series.velocities))
+        assert series.times.size == 9001
+        assert peak <= held + block_peak + 4096  # and the loop's views
+
     @pytest.mark.parametrize("collision", [False, True], ids=["completed", "collision"])
     def test_final_frees_the_dense_output(self, collision):
         # without the cycle collector: the storage goes when the last
