@@ -17,6 +17,7 @@ Exit codes: 0 success, 2 configuration error, 3 collision-terminated run,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -45,6 +46,15 @@ OUT_ENV_VAR = "RINGSIM_OUT"
 FLOAT_FMT = "%.17g"
 _ROW_BLOCK = 1 << 14  # CSV rows formatted per write in ``_write_table``
 
+# stats.json counts the stops after the settle window and gives the largest
+# speed spread over the final window (s)
+SETTLE_WINDOW_S = 200.0
+FINAL_WINDOW_S = 100.0
+
+# Every file a run writes into its directory
+ARTIFACTS = ("trajectory.csv", "fd.csv", "heatmap.csv", "phase.csv",
+             "events.csv", "stats.json", "manifest.json")
+
 
 class ConfigError(ValueError):
     """Invalid run configuration; the message names the offending field."""
@@ -55,66 +65,29 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class AnalysisSettings:
-    """Post-processing knobs; defaults match the stock scenarios."""
-
-    lyapunov_vehicle: int = 0
-    embed_dim: int = 3
-    lag: int | None = None
-    min_separation: int | None = None
-    fit_window_s: float = 1.0
-    trim_s: float = 0.0
-    heatmap_bins: int = 100
-    stop_speed: float = 0.1
-    settle_window_s: float = 200.0
-    final_window_s: float = 100.0
-
-    def __post_init__(self):
-        # the manifest echoes every field and cannot hold inf or NaN
-        for name in ("fit_window_s", "trim_s", "stop_speed", "settle_window_s",
-                     "final_window_s"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
-        for name in ("lyapunov_vehicle", "trim_s", "stop_speed",
-                     "settle_window_s", "final_window_s"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be nonnegative")
-        for name in ("embed_dim", "heatmap_bins", "lag", "min_separation"):
-            val = getattr(self, name)
-            if val is not None and val < 1:
-                raise ValueError(f"{name} must be at least 1")
-        if not self.fit_window_s > 0:
-            raise ValueError("fit_window_s must be positive")
-
-
-@dataclass
 class OutputSettings:
     dir: str | None = None
     trajectory: bool = True
     fd: bool = True
     heatmap: bool = True
+    heatmap_bins: int = 100
     phase: bool = True
+
+    def __post_init__(self):
+        if self.heatmap_bins < 1:
+            raise ValueError("heatmap_bins must be at least 1")
 
 
 @dataclass
 class RunConfig:
     scenario: ring.RingScenario
     integrator: IntegratorConfig
-    analysis: AnalysisSettings
     outputs: OutputSettings
-
-    def __post_init__(self):
-        n = self.scenario.n_vehicles
-        if self.analysis.lyapunov_vehicle >= n:
-            raise ValueError(
-                f"analysis.lyapunov_vehicle must be below the number of vehicles ({n})"
-            )
 
 
 # The "controller" tag of a vehicle entry names its parameter class.
 _CONTROLLERS = {"idm": IdmParams, "fs": FsParams}
-_SECTIONS = {"integrator": IntegratorConfig, "analysis": AnalysisSettings,
-             "outputs": OutputSettings}
+_SECTIONS = {"integrator": IntegratorConfig, "outputs": OutputSettings}
 # Command-line overrides: flag -> (section, field, type, help). Each is set
 # in the config mapping and so checked like the field it sets.
 _CLI_OVERRIDES = {
@@ -218,10 +191,16 @@ def _scenario_from_dict(d, path="scenario") -> ring.RingScenario:
     return _section(ring.RingScenario, d, path, skip, controllers=controllers)
 
 
+def _unwrap(d):
+    """The config of a mapping: a manifest wraps the config it echoes."""
+    if isinstance(d, dict) and "config" in d and "scenario" not in d:
+        return d["config"]
+    return d
+
+
 def config_from_dict(d) -> RunConfig:
     """Validate and resolve a configuration mapping into a RunConfig."""
-    if isinstance(d, dict) and "config" in d and "scenario" not in d:
-        d = d["config"]  # manifest files wrap the config they echo
+    d = _unwrap(d)
     for key in _object(d, "config"):
         if key != "scenario" and key not in _SECTIONS:
             raise ConfigError(f"config.{key}", "unknown field")
@@ -230,10 +209,7 @@ def config_from_dict(d) -> RunConfig:
     scenario = _scenario_from_dict(d["scenario"])
     sections = {name: _section(cls, _object(d.get(name, {}), name), name)
                 for name, cls in _SECTIONS.items()}
-    try:
-        return RunConfig(scenario=scenario, **sections)
-    except ValueError as exc:
-        raise ConfigError("config", str(exc)) from exc
+    return RunConfig(scenario=scenario, **sections)
 
 
 def config_to_dict(cfg: RunConfig) -> dict:
@@ -341,7 +317,7 @@ def _fork_tables(writers: dict, out_dir: str, cfg: RunConfig, series) -> None:
         fleet_table("fd.csv", "k_cars_per_m,q_cars_per_s,v_m_per_s",
                     *analysis.fundamental_diagram(series), series.velocities)
     if out.heatmap:
-        rows, bins, mean_v = analysis.heatmap_grid(series, cfg.analysis.heatmap_bins)
+        rows, bins, mean_v = analysis.heatmap_grid(series, out.heatmap_bins)
         # the t column binds rows as a default, so the del below leaves it intact
         fork("heatmap.csv", "t_s,bin,mean_v_m_per_s",
              [lambda r, rows=rows: t_cells[rows[r]], bins, mean_v], ["%s", "%d", FLOAT_FMT])
@@ -376,7 +352,7 @@ def write_artifacts(out_dir: str, cfg: RunConfig, traj, series) -> dict:
     writers = {}  # pid -> table file name
     try:
         _fork_tables(writers, out_dir, cfg, series)
-        fleet = analysis.fleet_stats(series, cfg.analysis.stop_speed)
+        fleet = analysis.fleet_stats(series)
         stats = compute_stats(cfg, traj, series, fleet)
         _write_json(os.path.join(out_dir, "stats.json"), stats)
 
@@ -402,17 +378,17 @@ def _finite_or_none(x):
 def compute_stats(cfg: RunConfig, traj, series, fleet: analysis.FleetStats) -> dict:
     """The stats.json mapping of a run; fleet is the series' fleet_stats.
 
-    It adds what needs the config or traj: the settle and final windows,
-    the collision's end-state gap and lambda. Of traj it reads the status,
-    the events and the last accepted state, so the run's
-    ``Trajectory.final()`` serves as well as the whole of it.
+    It adds the stops after SETTLE_WINDOW_S, the largest speed spread over
+    the last FINAL_WINDOW_S, the collision's end-state gap, and lambda:
+    ``analysis.max_lyapunov`` with its defaults on vehicle 0's speed. Of
+    traj it reads the status, the events and the last accepted state, so
+    the run's ``Trajectory.final()`` serves as well as the whole of it.
     """
     sc = cfg.scenario
-    an = cfg.analysis
     stops = fleet.stops
     first_stop = stops[0][0] if stops else None
-    after_settle = [e for e in stops if e[0] > an.settle_window_s]
-    in_final = series.times >= series.times[-1] - an.final_window_s
+    after_settle = [e for e in stops if e[0] > SETTLE_WINDOW_S]
+    in_final = series.times >= series.times[-1] - FINAL_WINDOW_S
     final_v_std = float(fleet.v_std_series[in_final].max())
 
     collision = traj.status == "terminated"
@@ -423,24 +399,14 @@ def compute_stats(cfg: RunConfig, traj, series, fleet: analysis.FleetStats) -> d
     if collision:
         # the samples stop short of the touching state; the last accepted
         # state is the closest to it
-        x = traj.states[-1, 0::2]
-        min_gap = min(min_gap, float(((x[series.leader_index()] - x) % sc.ring_length).min()))
+        min_gap = min(min_gap, float(ring.circular_gaps(traj.states[-1, 0::2],
+                                                        sc.ring_length).min()))
         max_density = max(max_density, 1.0 / min_gap)
         lyap_error = (f"not computed: run terminated by a collision of vehicle "
                       f"{traj.events[-1][1].vehicle} at t={float(collision_time)!r}")
     else:
         try:
-            trimmed = series.window(an.trim_s) if an.trim_s > 0 else series
-            signal = trimmed.velocities[:, an.lyapunov_vehicle]
-            fit_end = max(1, int(round(an.fit_window_s * sc.sample_hz)))
-            lyap = analysis.max_lyapunov(
-                signal,
-                sample_rate=sc.sample_hz,
-                embed_dim=an.embed_dim,
-                lag=an.lag,
-                min_separation=an.min_separation,
-                fit_range=(0, fit_end),
-            )
+            lyap = analysis.max_lyapunov(series.velocities[:, 0], sample_rate=sc.sample_hz)
         except ValueError as exc:
             lyap_error = str(exc)
 
@@ -471,7 +437,15 @@ def compute_stats(cfg: RunConfig, traj, series, fleet: analysis.FleetStats) -> d
 
 
 def run_one(cfg: RunConfig, out_dir: str) -> tuple[int, dict]:
-    """Integrate, analyze and write one run; returns (exit code, stats)."""
+    """Integrate, analyze and write one run; returns (exit code, stats).
+
+    Any ARTIFACTS file already in out_dir is removed first, so the
+    directory never mixes the files of two runs; no other file is touched,
+    and a directory of an artifact's name is left for its writer to report.
+    """
+    for name in ARTIFACTS:
+        with contextlib.suppress(FileNotFoundError, IsADirectoryError):
+            os.remove(os.path.join(out_dir, name))
     try:
         traj = ring.simulate(cfg.scenario, cfg.integrator)
     except IntegrationError as exc:
@@ -494,8 +468,7 @@ def _default_out_dir() -> str:
 def _config_with_overrides(d, args) -> RunConfig:
     """RunConfig of the config mapping d with the command-line overrides
     set in its sections, so they get the checks of a config-file field."""
-    if isinstance(d, dict) and "config" in d and "scenario" not in d:
-        d = d["config"]  # a manifest: override the config it echoes
+    d = _unwrap(d)  # a manifest: override the config it echoes
     for section, key, _, _ in _CLI_OVERRIDES.values():
         val = getattr(args, key)
         # a malformed mapping is left for config_from_dict to report

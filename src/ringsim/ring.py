@@ -58,6 +58,7 @@ __all__ = [
     "build_uniform_scenario",
     "initial_state",
     "apply_perturbation",
+    "circular_gaps",
     "rhs",
     "simulate",
     "sample",
@@ -170,6 +171,12 @@ def _leaders(n: int) -> np.ndarray:
     return (np.arange(n) - 1) % n
 
 
+def circular_gaps(x: np.ndarray, ring_length: float) -> np.ndarray:
+    """Forward gap of every vehicle to its leader modulo the ring length,
+    over the last axis of the positions x."""
+    return (x[..., _leaders(x.shape[-1])] - x) % ring_length
+
+
 class _Fleet:
     """Per-run arrays of a scenario, built once and read by every RHS call.
 
@@ -197,8 +204,9 @@ class _Fleet:
 
     def gaps(self, x: np.ndarray) -> np.ndarray:
         """Forward gap of every vehicle to its leader, over the last axis of x."""
-        d = x.take(self.leaders, axis=-1) - x
-        return d % self.length if self.laps is None else d + self.laps
+        if self.laps is None:
+            return circular_gaps(x, self.length)
+        return x.take(self.leaders, axis=-1) - x + self.laps
 
 
 def _idm(gaps: np.ndarray, v: np.ndarray, fleet: _Fleet) -> np.ndarray:
@@ -351,17 +359,9 @@ class RingSeries:
         array.
         """
         if self._gaps is None:
-            pos = self.positions
-            self._gaps = (pos[:, self.leader_index()] - pos) % self.ring_length
+            self._gaps = circular_gaps(self.positions, self.ring_length)
             self._gaps.flags.writeable = False
         return self._gaps
-
-    def window(self, t_from: float = -np.inf, t_to: float = np.inf) -> "RingSeries":
-        """Sub-series with t_from <= t <= t_to."""
-        m = (self.times >= t_from) & (self.times <= t_to)
-        return RingSeries(
-            self.times[m], self.positions[m], self.velocities[m], self.ring_length
-        )
 
 
 def sample(traj: integrators.Trajectory, scenario: RingScenario) -> RingSeries:

@@ -77,6 +77,31 @@ class TestRun:
         assert run_cli("run", "--preset", "idm", "--t-end", "12", "-o", str(b)) == 0
         assert file_hashes(a) == file_hashes(b)
 
+    def test_reused_dir_holds_only_the_last_run(self, tmp_path):
+        # each run into a directory first removes the files a run writes,
+        # and no other file: tables on, then off, then a solver failure
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        out.mkdir()
+        (out / "notes.txt").write_text("not ringsim's\n")
+        assert run_cli("run", "--preset", "idm", "--t-end", "5", "-o", str(out)) == 0
+        assert set(os.listdir(out)) == ARTIFACTS | {"notes.txt"}
+        no_tables = tmp_path / "no_tables.json"
+        no_tables.write_text(json.dumps({"scenario": {"preset": "idm", "t_end": 5.0},
+                                         "outputs": dict.fromkeys(TABLES, False)}))
+        assert run_cli("run", "--config", str(no_tables), "-o", str(out)) == 0
+        assert run_cli("run", "--config", str(no_tables), "-o", str(fresh)) == 0
+        hashes = file_hashes(out)
+        del hashes["notes.txt"]
+        assert hashes == file_hashes(fresh)
+        assert set(hashes) == ARTIFACTS - TABLE_FILES
+        failing = tmp_path / "failing.json"
+        failing.write_text(json.dumps({"scenario": {"preset": "idm"},
+                                       "integrator": {"max_steps": 3}}))
+        assert run_cli("run", "--config", str(failing), "-o", str(out)) == cli.EXIT_SOLVER
+        assert set(os.listdir(out)) == {"manifest.json", "notes.txt"}
+        assert "error" in json.loads((out / "manifest.json").read_text())
+        assert (out / "notes.txt").read_text() == "not ringsim's\n"
+
     def test_manifest_reproduces_run(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert run_cli("run", "--preset", "mixed", "--t-end", "10",
@@ -204,7 +229,8 @@ class TestConfigErrors:
         assert "invalid JSON" in capsys.readouterr().err
 
     # (config, text stderr must contain): per section, a value of the wrong
-    # type and one out of range. Outputs has no ranged field.
+    # type and one out of range. The analysis section of older manifests is
+    # rejected by name.
     @pytest.mark.parametrize("cfg, field", [
         ({"scenario": {**_IDM, "controllers": []}}, "scenario.controllers: unknown field"),
         ({"scenario": {**_IDM, "seed": 1.5}}, "scenario.seed"),
@@ -230,13 +256,15 @@ class TestConfigErrors:
         ({"scenario": _IDM, "integrator": {"abs_tol": 0}}, "abs_tol"),
         ({"scenario": _IDM, "integrator": {"max_steps": 10.0}}, "integrator.max_steps"),
         ({"scenario": _IDM, "integrator": {"h_init": -1}}, "h_init"),
-        ({"scenario": _IDM, "analysis": {"lag": "3"}}, "analysis.lag"),
-        ({"scenario": _IDM, "analysis": {"lag": 0}}, "lag"),
-        ({"scenario": _IDM, "analysis": {"fit_window_s": 0}}, "fit_window_s"),
-        ({"scenario": _IDM, "analysis": {"heatmap_bins": True}}, "analysis.heatmap_bins"),
-        ({"scenario": _IDM, "analysis": {"stop_speed": -0.1}}, "stop_speed"),
-        ({"scenario": _IDM, "analysis": {"lyapunov_vehicle": 10}}, "analysis.lyapunov_vehicle"),
-        ({"scenario": _IDM, "analysis": {"lyapunov_vehicle": -1}}, "lyapunov_vehicle"),
+        ({"scenario": _IDM, "analysis": {"heatmap_bins": 3}}, "config.analysis: unknown field"),
+        ({"scenario": _IDM, "analysis": {}}, "config.analysis: unknown field"),
+        ({"tool": "ringsim", "config": {"scenario": _IDM, "analysis": {"embed_dim": 3}}},
+         "config.analysis: unknown field"),
+        ({"scenario": _IDM, "outputs": {"heatmap_bins": 0}},
+         "outputs: heatmap_bins must be at least 1"),
+        ({"scenario": _IDM, "outputs": {"heatmap_bins": True}}, "outputs.heatmap_bins"),
+        ({"scenario": _IDM, "outputs": {"heatmap_bins": 2.5}}, "outputs.heatmap_bins"),
+        ({"scenario": _IDM, "outputs": {"heatmap_bins": None}}, "outputs.heatmap_bins"),
         ({"scenario": _IDM, "outputs": {"fd": 1}}, "outputs.fd"),
         ({"scenario": _IDM, "outputs": {"dir": 5}}, "outputs.dir"),
     ])
@@ -253,19 +281,10 @@ class TestConfigErrors:
         lambda: RingScenario(controllers=[IdmParams()] * 2, t_end=float("nan")),
         lambda: IdmParams(T=float("nan")),
         lambda: FsParams(alpha=(1.0, 0.7, float("nan"))),
-        lambda: cli.AnalysisSettings(stop_speed=float("nan")),
     ])
     def test_dataclass_bounds_reject_nan(self, make):
         with pytest.raises(ValueError):
             make()
-
-    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
-    @pytest.mark.parametrize("name", ["fit_window_s", "trim_s", "stop_speed",
-                                      "settle_window_s", "final_window_s"])
-    def test_analysis_settings_reject_non_finite(self, name, value):
-        # a library caller bypasses the config parser's finiteness check
-        with pytest.raises(ValueError, match=f"{name} must be finite"):
-            cli.AnalysisSettings(**{name: value})
 
     @pytest.mark.parametrize("argv, field", [
         (["run", "--preset", "idm", "--rel-tol", "0"], "rel_tol"),
@@ -321,22 +340,16 @@ def run_configs(draw):
         perturb_amp=draw(_floats(0, 1)), seed=draw(st.integers(0, 2**63)),
         t_end=draw(_floats(0, 3000)), sample_hz=draw(_floats(0.01, 100)),
     )
-    optional_int = st.none() | st.integers(1, 100)
     return cli.RunConfig(
         scenario=scenario,
         integrator=IntegratorConfig(
             rel_tol=draw(_floats(1e-12, 1)), abs_tol=draw(_floats(1e-15, 1)),
             h_init=draw(st.none() | _floats(1e-6, 1)), h_max=draw(_floats(1e-4, 10)),
             max_steps=draw(st.integers(1, 10**7))),
-        analysis=cli.AnalysisSettings(
-            lyapunov_vehicle=draw(st.integers(0, n - 1)), embed_dim=draw(st.integers(1, 10)),
-            lag=draw(optional_int), min_separation=draw(optional_int),
-            fit_window_s=draw(_floats(1e-6, 100)), trim_s=draw(_floats(0, 100)),
-            heatmap_bins=draw(st.integers(1, 1000)), stop_speed=draw(_floats(0, 1)),
-            settle_window_s=draw(_floats(0, 1000)), final_window_s=draw(_floats(0, 1000))),
         outputs=cli.OutputSettings(
             dir=draw(st.none() | st.text(max_size=10)), trajectory=draw(st.booleans()),
-            fd=draw(st.booleans()), heatmap=draw(st.booleans()), phase=draw(st.booleans())),
+            fd=draw(st.booleans()), heatmap=draw(st.booleans()),
+            heatmap_bins=draw(st.integers(1, 1000)), phase=draw(st.booleans())),
     )
 
 
@@ -458,8 +471,7 @@ class TestCollisionStats:
         t, exc = traj.events[-1]
         assert stats["min_gap_m"] == min_gap
         assert stats["collision_time_s"] == t
-        assert stats == cli.compute_stats(cfg, traj, series,
-                                          analysis.fleet_stats(series, cfg.analysis.stop_speed))
+        assert stats == cli.compute_stats(cfg, traj, series, analysis.fleet_stats(series))
         last = (tmp_path / "out" / "events.csv").read_text().splitlines()[-1]
         assert last == f"{cli.FLOAT_FMT % t},collision,{exc.vehicle}"
 
@@ -573,17 +585,17 @@ class TestRunWork:
         assert cli.run_one(cfg, str(tmp_path))[0] == cli.EXIT_OK
         assert len(calls) == 1
 
-    def test_final_spread_equals_the_window_copy(self):
+    def test_final_spread_equals_the_window_copy(self, monkeypatch):
         # compute_stats reads the final spread from the summary's spread
         # series; it equals, bit for bit, the spread of a copied final window
         cfg = cli.config_from_dict({"scenario": {"preset": "mixed", "t_end": 30.0}})
         traj = simulate(cfg.scenario, cfg.integrator)
         series = ring.sample(traj, cfg.scenario)
-        fleet = analysis.fleet_stats(series, cfg.analysis.stop_speed)
+        fleet = analysis.fleet_stats(series)
         for window in (0.0, 1 / 30, 7.3, 20.0, 100.0):
-            cfg.analysis.final_window_s = window
-            copied = series.window(series.times[-1] - window)
-            old = float(copied.velocities.std(axis=1).max())
+            monkeypatch.setattr(cli, "FINAL_WINDOW_S", window)
+            copied = series.velocities[series.times >= series.times[-1] - window]
+            old = float(copied.std(axis=1).max())
             stats = cli.compute_stats(cfg, traj.final(), series, fleet)
             assert repr(stats["final_v_std_m_per_s"]) == repr(old) != "0.0", window
 
@@ -624,7 +636,7 @@ class TestTableWriters:
                             rng.uniform(0, 12, (n_t, n_veh)), length)
         cfg = cli.config_from_dict({
             "scenario": {"vehicles": [{"controller": "idm"}] * n_veh, "ring_length": length},
-            "analysis": {"heatmap_bins": 7}})
+            "outputs": {"heatmap_bins": 7}})
         cli._fork_tables({}, str(tmp_path), cfg, series)
 
         t_cells = cli._cells(cli.FLOAT_FMT, series.times)

@@ -573,14 +573,6 @@ class TestRingSeries:
         series = sample(traj, sc)
         assert np.max(np.abs(series.positions - series.times[:, None] ** 4)) < 1e-12
 
-    def test_window(self):
-        sc = replace(build_uniform_scenario("idm"), t_end=10.0)
-        series = sample(simulate(sc, TIGHT), sc)
-        w = series.window(4.0, 6.0)
-        assert w.times[0] >= 4.0
-        assert w.times[-1] <= 6.0
-        assert w.positions.shape[0] == w.times.size
-
 
 class TestMemory:
     def test_simulate_holds_its_dense_output_once(self):
