@@ -465,6 +465,17 @@ def _default_out_dir() -> str:
     return os.environ.get(OUT_ENV_VAR, "runs")
 
 
+def _check_out_dir(path: str) -> None:
+    """Raise ConfigError unless path is a directory or can be made one: its
+    nearest existing ancestor must be a directory."""
+    head = path
+    while head and not os.path.exists(head):
+        head = os.path.dirname(head)
+    if head and not os.path.isdir(head):
+        where = "" if head == path else f" (in the output path {path!r})"
+        raise ConfigError("outputs.dir", f"{head!r} is not a directory{where}")
+
+
 def _config_with_overrides(d, args) -> RunConfig:
     """RunConfig of the config mapping d with the command-line overrides
     set in its sections, so they get the checks of a config-file field."""
@@ -502,6 +513,7 @@ def cmd_run(args) -> int:
         raw = {"scenario": {"preset": args.preset}}
     cfg = _config_with_overrides(raw, args)
     out_dir = args.out or cfg.outputs.dir or _default_out_dir()
+    _check_out_dir(out_dir)
     code, stats = run_one(cfg, out_dir)
     if code != EXIT_SOLVER:
         lam = stats.get("lambda_max")
@@ -527,6 +539,8 @@ def cmd_compare(args) -> int:
         if p not in ring.PRESET_NAMES:
             raise ConfigError("compare.presets", f"unknown preset {p!r}")
     out_root = args.out or _default_out_dir()
+    for preset in presets:
+        _check_out_dir(os.path.join(out_root, preset))
     rows = []
     worst = EXIT_OK
     for preset in presets:

@@ -12,13 +12,18 @@ t0 being clamped to t0. An ODE is the lag-free case, one interval long.
 One evaluator reads every state off a trajectory, at a scalar instant or
 at a 1-d array of them: the delayed lookups while integrating,
 :meth:`Trajectory.evaluate` and, through it, the uniform-rate series of
-:func:`ringsim.ring.sample`. One stage loop serves both entry points. Each
-attempted step reads the delayed states of all its stages in one lookup,
-over the step's five distinct stage instants (the last two stages share
-t + h), and passes that batch through the caller's ``lag_map`` once, so
-work that depends on the delayed state alone runs once per step; the ODE
-path lags nothing. The stage loop works in buffers allocated once per
-lag interval.
+:func:`ringsim.ring.sample`. One stage loop serves both entry points. The
+step cap fixes nearly every step of a lag interval in advance, so each
+interval starts with one lookup over its start and the five distinct
+stage instants (the last two stages share t + h) of every step it would
+take if each were accepted at the cap. A step taken as planned uses its
+rows of that batch; any other step (the ramp-up from the initial step
+size, a retry after a rejection, a step that error control shortens)
+looks up its own five instants. Each lookup passes through the caller's
+``lag_map`` once, so work that depends on the delayed state alone runs
+once per lag interval on a run at the cap; the ODE path lags nothing.
+Every step reads the bits it would read by a lookup of its own. The stage
+loop works in buffers allocated once per lag interval.
 
 The dense output is stored once. Each accepted step keeps its end state
 and four interpolation coefficients per component, about 40 bytes per
@@ -294,13 +299,36 @@ def _initial_step(f, t0, y0, f0, rel_tol, abs_tol, h_cap, dom=()):
     return min(100 * h0, h1, h_cap)
 
 
+def _plan(t, t_end, h_cap):
+    """The (t, h) of every step from t to t_end if each is accepted at the
+    cap, by the arithmetic of :func:`_advance`'s loop."""
+    plan = []
+    while t < t_end:
+        h = min(h_cap, t_end - t)
+        h_floor = 16 * _EPS * max(abs(t), abs(t_end))
+        if h < h_floor:
+            break
+        plan.append((t, h))
+        t_new = t + h
+        t = t_end if t_end - t_new < h_floor else t_new
+    return plan
+
+
 def _advance(f, lagged, builder, t_end, cfg, h_cap, dom, h_start):
     """Step from the builder's last state up to t_end.
 
-    lagged maps a 1-d array of ascending instants to one row per instant,
-    the delayed rows of a DDE, or is None for an ODE; f(t, y, z) is the
-    derivative at t given the row z for t (None for an ODE). Each attempted
-    step calls lagged once, on its distinct stage instants.
+    lagged is None for an ODE. For a DDE it is the pair (delay, lookup):
+    delay maps ascending instants to their delayed instants, and lookup
+    maps those to one row each. f(t, y, z) is the derivative at t given
+    the row z for t (None for an ODE).
+
+    A DDE first looks up the start instant and the stage instants of every
+    step that :func:`_plan` lays out. A step whose (t, h) is planned takes
+    those rows; any other looks up its own. A delayed instant that rounds
+    past t, the last stored instant, reads t's state only until the next
+    step is stored, so the plan ends before the first later step that
+    reads one. If the planned lookup raises dom, nothing is planned, and
+    the error hits the step whose own lookup raises it.
 
     Stage states and the error norm are computed in buffers allocated once
     per call, operation for operation as y + h * (A @ k) and
@@ -310,15 +338,30 @@ def _advance(f, lagged, builder, t_end, cfg, h_cap, dom, h_start):
     "terminated" when f raised the domain error dom at the start state or
     down to a vanishing step; the builder's events then hold that error.
     """
-
-    def f_at(s, y):
-        return f(s, y, None if lagged is None else lagged(np.array([s]))[0])
-
     t = builder.t_last
     y = builder.y_last.copy()
     k = np.empty((7, y.size))
+    batch, planned = None, {}
+    if lagged is not None:
+        delay, lookup = lagged
+        plan = _plan(t, t_end, h_cap)
+        steps = np.array(plan).reshape(-1, 2)  # rows (t, h)
+        ds = delay(np.append(t, steps[:, :1] + _C[1:6] * steps[:, 1:]))
+        # the delayed instants ascend; the first step may read past t, as
+        # no other step is stored before it is attempted
+        plan = plan[:max(1, (ds.searchsorted(t, "right") - 1) // 5)]
+        try:
+            batch = lookup(ds[:1 + 5 * len(plan)])
+        except dom:
+            pass
+        else:
+            planned = {pair: batch[1 + 5 * j: 6 + 5 * j] for j, pair in enumerate(plan)}
+
+    def f_at(s, y):
+        return f(s, y, None if lagged is None else lookup(delay(np.array([s])))[0])
+
     try:
-        k[0] = f_at(t, y)
+        k[0] = f_at(t, y) if batch is None else f(t, y, batch[0])
     except dom as exc:
         builder.end_on(t, exc)
         return "terminated", h_start
@@ -355,7 +398,9 @@ def _advance(f, lagged, builder, t_end, cfg, h_cap, dom, h_start):
             # the last stage's state is the accepted state, so every
             # accepted state has passed f's domain check
             if lagged is not None:
-                rows = lagged(t + _C[1:6] * h)
+                rows = planned.get((t, h))
+                if rows is None:
+                    rows = lookup(delay(t + _C[1:6] * h))
             for i in range(1, 7):
                 np.dot(_A[i], k[:i], out=dy)
                 dy *= h
@@ -435,13 +480,13 @@ def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given) -> Trajecto
     steps = math.ceil(min(cfg.max_steps, (t_end - t0) / h_cap))
     rows = 1 + min(cfg.max_steps, steps + _SLACK_ROWS)
     builder = _Builder(t0, np.asarray(y0, dtype=float), cfg.max_steps, rows)
-    past = None if tau == math.inf else (
-        lambda ts: lag_map(builder.evaluate(np.maximum(ts - tau, t0))))
+    lagged = None if tau == math.inf else (
+        lambda ts: np.maximum(ts - tau, t0), lambda ds: lag_map(builder.evaluate(ds)))
     status, h_next, k = "completed", cfg.h_init, 1
     while status == "completed" and builder.t_last < t_end:
         stop = min(t0 + k * tau, t_end)
         if stop > builder.t_last:
-            status, h_next = _advance(f, past, builder, stop, cfg, h_cap, dom, h_next)
+            status, h_next = _advance(f, lagged, builder, stop, cfg, h_cap, dom, h_next)
         k += 1
     return builder.finish(status)
 
@@ -470,11 +515,17 @@ def integrate_dde(f, y0, tau: float, t_span,
 
     lag_map : maps the (m, dim) array of delayed states that one lookup
         reads to a sequence of m rows, and f receives row j in place of
-        y(t_j - tau). Each attempted step makes one lookup over the m = 5
-        distinct instants of its stages, so work that depends on the
-        delayed state alone can run once per step on the whole batch
-        instead of once per stage. The default passes the states as they
-        are, so f receives y(t - tau) itself.
+        y(t_j - tau). Each lag interval makes one lookup over its start
+        and the five distinct stage instants of every step it would take
+        at the step cap h = min(h_max, tau): m = 1 + 5 * ceil(tau / h),
+        26 on the stock ring (tau 0.5 s, h_max 0.1 s), or fewer when a
+        delayed instant rounds past the interval's start. A step off that
+        plan makes one lookup over its own m = 5 instants. Work that
+        depends on the delayed state alone thus runs on whole batches, not
+        once per stage. The default passes the states as they are, so f
+        receives y(t - tau) itself. A domain_error that lag_map raises
+        hits the step whose own lookup reads the offending state, as if f
+        raised it.
     """
     if not 0 < tau < math.inf:
         raise ValueError("tau must be positive and finite; "

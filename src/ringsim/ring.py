@@ -24,12 +24,14 @@ nonpositive. The current half (``_deriv``) reads the current state: it
 sets dx/dt = v, checks the current gaps together with the delayed flags,
 calls the FollowerStopper law once per FollowerStopper vehicle, on
 Python floats, in place of that vehicle's IDM value, and clamps vehicles
-at standstill. On the delay path the delayed half runs once per attempted
-step, on the delayed states of all its stages, which the solver reads in
-one lookup; without delay both halves run on the current state at every
-evaluation. The derivative is the one collision check: it raises
-``CollisionError`` naming the first vehicle whose current gap, or delayed
-gap if it is an IDM vehicle, is nonpositive.
+at standstill. On the delay path the delayed half runs once per lag
+interval, on the delayed states of all the stages of the steps the solver
+plans at the step cap, and once more for each step off that plan, on its
+own stages; the solver reads each such batch in one lookup. Without delay
+both halves run on the current state at every evaluation. The derivative
+is the one collision check: it raises ``CollisionError`` naming the first
+vehicle whose current gap, or delayed gap if it is an IDM vehicle, is
+nonpositive.
 """
 
 from __future__ import annotations
@@ -310,8 +312,9 @@ def simulate(scenario: RingScenario,
         z0 = np.asarray(z0, dtype=float).copy()
     fleet = _Fleet(scenario, z0)
     if scenario.tau > 0:
-        # the delayed half runs once per attempted step, on the delayed
-        # states of all its stages, and each stage gets its row
+        # the delayed half runs on each lookup's batch of delayed states:
+        # once per lag interval, and once per step off the interval's plan;
+        # each stage gets its row
         return integrators.integrate_dde(
             lambda t, z, lag: _deriv(z, lag, fleet),
             z0,

@@ -222,6 +222,28 @@ class TestConfigErrors:
         assert "not allowed with argument" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", [
+        ("run", "--preset", "idm"),
+        ("compare", "--presets", "idm,mixed"),
+    ], ids=["run", "compare"])
+    @pytest.mark.parametrize("how", ["flag", "env", "below"])
+    def test_output_path_through_a_file(self, tmp_path, monkeypatch, capsys, command, how):
+        # the output path is a regular file, or lies below one; it is
+        # reported before anything is integrated, and the file is kept
+        blocker = tmp_path / "F"
+        blocker.write_text("keep")
+        out = blocker / "sub" if how == "below" else blocker
+        monkeypatch.setattr(ring, "simulate", lambda *a, **k: pytest.fail("integrated"))
+        if how == "env":
+            monkeypatch.setenv(cli.OUT_ENV_VAR, str(out))
+            argv = command
+        else:
+            argv = command + ("-o", str(out))
+        assert run_cli(*argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"outputs.dir: {str(blocker)!r} is not a directory" in err
+        assert blocker.read_text() == "keep"
+
     def test_integer_over_digit_limit(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"scenario": {"preset": "idm", "seed": 1' + "0" * 5000 + "}}")

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -237,6 +238,13 @@ def simulate_delayed_ring():
     return ring.simulate(replace(scenario, t_end=60.0, perturb_amp=0.5))
 
 
+def dense_per_instant(times, states, coeffs, hs, t, dense=integrators._dense):
+    """_dense, called once per instant."""
+    t = np.asarray(t, dtype=float)
+    rows = [dense(times, states, coeffs, hs, s) for s in t.ravel()]
+    return np.array(rows).reshape(t.shape + states.shape[1:])
+
+
 class TestDde:
     def test_first_interval_linear(self):
         # y'(t) = -y(t-1), history 1 on [-1, 0]: y(t) = 1 - t on [0, 1]
@@ -342,27 +350,20 @@ class TestDde:
         # a step's one lookup over its stage instants gives the bits of one
         # lookup per instant
         delayed = simulate_delayed_ring()
-        dense = integrators._dense
-
-        def per_instant(times, states, coeffs, hs, t):
-            t = np.asarray(t, dtype=float)
-            rows = [dense(times, states, coeffs, hs, s) for s in t.ravel()]
-            return np.array(rows).reshape(t.shape + states.shape[1:])
-
-        monkeypatch.setattr(integrators, "_dense", per_instant)
+        monkeypatch.setattr(integrators, "_dense", dense_per_instant)
         oracle = simulate_delayed_ring()
         assert np.array_equal(delayed.times, oracle.times)
         assert np.array_equal(delayed.states, oracle.states)
         assert np.array_equal(delayed._coeffs, oracle._coeffs)
         assert np.array_equal(delayed._h, oracle._h)
 
-    def test_one_lookup_per_attempted_step(self, monkeypatch):
+    def test_one_lookup_per_interval_and_off_plan_step(self, monkeypatch):
         dense, advance = integrators._dense, integrators._advance
         integrate = integrators._integrate
         lookups, builders, maps = [], [], []
 
         def counted_dense(*args):
-            lookups.append(np.ndim(args[-1]))
+            lookups.append(np.shape(args[-1]))
             return dense(*args)
 
         def counted_advance(f, lagged, builder, *rest):
@@ -384,14 +385,46 @@ class TestDde:
         traj = simulate_delayed_ring()
         intervals = len(builders)
         assert intervals == 120  # 60 s at tau = 0.5 s
-        assert set(lookups) == {1}
-        # one per attempted step, one per interval start and one for the
+        assert builders[0].attempts == traj.times.size - 1  # none rejected
+        # the first interval's steps ramp up from the initial step size and
+        # leave the grid of the cap; every later step is at the cap, as
+        # planned: five to an interval
+        ramp = int(np.count_nonzero(traj.times[1:] <= 0.5))
+        assert ramp == 8
+        assert np.allclose(traj._h[ramp:-1], 0.1, rtol=1e-12, atol=0.0)
+        # one lookup per interval, over its start and the five stage
+        # instants of each planned step; one per off-plan step; one for the
         # probe that picks the initial step size
-        assert len(lookups) == builders[0].attempts + intervals + 1
-        assert builders[0].attempts >= traj.times.size - 1
+        assert Counter(lookups) == {(26,): intervals, (5,): ramp, (1,): 1}
         # the map sees each lookup's whole batch once
-        assert len(maps) == len(lookups)
-        assert set(maps) == {(5, 20), (1, 20)}
+        assert Counter(maps) == {(26, 20): intervals, (5, 20): ramp, (1, 20): 1}
+
+    def test_off_plan_steps_match_per_stage_lookups(self, monkeypatch):
+        # from 1.5 s to about 9 s the tolerance, not the cap, sets the step,
+        # and the steps leave their interval's plan. In 41 of the 200
+        # intervals the last planned step's delayed instant rounds past the
+        # interval's start, so the plan ends a step early (11 instants).
+        # The oracle plans nothing and reads every stage's delayed state
+        # alone.
+        cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, h_max=0.1)
+        dense = integrators._dense
+        lookups = []
+
+        def counted_dense(*args):
+            lookups.append(np.size(args[-1]))
+            return dense(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(integrators, "_dense", counted_dense)
+            planned = integrate_dde(dde_rhs, [1.0, 0.5], 0.3, (0.0, 60.0), cfg)
+        assert Counter(lookups) == {16: 159, 11: 41, 5: 124, 1: 1}
+        monkeypatch.setattr(integrators, "_plan", lambda t, t_end, h_cap: [])
+        monkeypatch.setattr(integrators, "_dense", dense_per_instant)
+        oracle = integrate_dde(dde_rhs, [1.0, 0.5], 0.3, (0.0, 60.0), cfg)
+        assert np.array_equal(planned.times, oracle.times)
+        assert np.array_equal(planned.states, oracle.states)
+        assert np.array_equal(planned._coeffs, oracle._coeffs)
+        assert np.array_equal(planned._h, oracle._h)
 
     def test_lag_map_matches_map_folded_into_f(self):
         # f given the mapped rows gives the bits of f applying the map itself
@@ -406,7 +439,42 @@ class TestDde:
                                (0.0, 10.0), cfg, lag_map=double)
         folded = integrate_dde(lambda t, y, z: -((2 * z) / 2) + 0.1 * y, [1.0, 0.5],
                                0.3, (0.0, 10.0), cfg)
-        assert set(batches) == {(5, 2), (1, 2)}
+        # 33 intervals of 0.3 s plan three steps at the cap (two in the 3
+        # whose last delayed instant rounds past the interval's start), the
+        # last 0.1 s one; the tolerance sets the step, so 105 steps are off
+        # the plan
+        assert Counter(batches) == {(16, 2): 30, (11, 2): 3, (6, 2): 1, (5, 2): 105,
+                                    (1, 2): 1}
+        assert np.array_equal(mapped.times, folded.times)
+        assert np.array_equal(mapped.states, folded.states)
+        assert np.array_equal(mapped._coeffs, folded._coeffs)
+        assert np.array_equal(mapped._h, folded._h)
+
+    def test_lag_map_domain_error_matches_f_raising_it(self):
+        # y[0] is a clock. The map rejects delayed states past 2.05 s, which
+        # the lookups first reach inside the interval [2.1, 2.4]: the error
+        # must hit the step whose own lookup reads them, not the interval's
+        # planned batch, and end the run where f raising it ends the run
+        cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9, h_max=0.1)
+
+        def check(z):
+            if np.any(z[..., 0] > 2.05):
+                raise _Boom("delayed clock past 2.05 s")
+            return z
+
+        def f(t, y, z):
+            return np.array([1.0, -z[1]])
+
+        mapped = integrate_dde(f, [0.0, 1.0], 0.3, (0.0, 10.0), cfg,
+                               domain_error=_Boom, lag_map=check)
+        folded = integrate_dde(lambda t, y, z: f(t, y, check(z)), [0.0, 1.0], 0.3,
+                               (0.0, 10.0), cfg, domain_error=_Boom)
+        assert mapped.status == folded.status == "terminated"
+        ((t_ev, exc),) = mapped.events
+        ((t_folded, exc_folded),) = folded.events
+        assert t_ev == t_folded
+        assert 2.3 < t_ev < 2.4
+        assert isinstance(exc, _Boom) and isinstance(exc_folded, _Boom)
         assert np.array_equal(mapped.times, folded.times)
         assert np.array_equal(mapped.states, folded.states)
         assert np.array_equal(mapped._coeffs, folded._coeffs)

@@ -1,6 +1,7 @@
 import gc
 import tracemalloc
 import weakref
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -467,8 +468,9 @@ def simulate_per_stage(monkeypatch, scenario, z0=None):
 
 
 class TestDelayedBatch:
-    """The delay path evaluates the IDM law once per attempted step, over
-    the delayed states of all its stages."""
+    """The delay path evaluates the IDM law once per lag interval, over the
+    delayed states of all the stages of the steps it plans at the cap, and
+    once more for each attempted step off that plan."""
 
     @pytest.mark.parametrize("preset", ["idm_delayed", "mixed_delayed"])
     def test_matches_per_stage_evaluation(self, monkeypatch, preset):
@@ -496,6 +498,43 @@ class TestDelayedBatch:
         assert t_ev == t_oracle == pytest.approx(0.1058145, abs=1e-6)
         assert exc.vehicle == exc_oracle.vehicle == 0
 
+    @pytest.mark.parametrize("tau, t_end, rejects", [
+        # below h_max: a plan of one step per interval
+        (0.03, 20.0, False),
+        # a planned step is rejected at 23.6 s, inside [22.5, 24]
+        (1.5, 25.0, True),
+    ], ids=["short_lag", "rejected"])
+    def test_off_plan_steps_match_per_stage_evaluation(self, monkeypatch, tau, t_end,
+                                                       rejects):
+        sc = replace(build_uniform_scenario("mixed_delayed"), tau=tau, t_end=t_end)
+        dense, advance = integrators._dense, integrators._advance
+        lookups, builders = [], []
+
+        def counted_dense(*args):
+            lookups.append(np.size(args[-1]))
+            return dense(*args)
+
+        def counted_advance(f, lagged, builder, *rest):
+            builders.append(builder)
+            return advance(f, lagged, builder, *rest)
+
+        with monkeypatch.context() as m:
+            m.setattr(integrators, "_dense", counted_dense)
+            m.setattr(integrators, "_advance", counted_advance)
+            batched = simulate(sc)
+        oracle = simulate_per_stage(monkeypatch, sc)
+        assert batched.status == oracle.status == "completed"
+        assert np.array_equal(batched.times, oracle.times)
+        assert np.array_equal(batched.states, oracle.states)
+        assert np.array_equal(batched._coeffs, oracle._coeffs)
+        assert np.array_equal(batched._h, oracle._h)
+        attempts, intervals = builders[0].attempts, len(builders)
+        off_plan = lookups.count(5)
+        # some steps leave the plan and some follow it
+        assert 0 < off_plan < attempts
+        assert len(lookups) == intervals + off_plan + 1
+        assert (attempts > batched.times.size - 1) == rejects
+
     def test_idm_law_once_per_lookup(self, monkeypatch):
         dense = integrators._dense
         laws, lookups = [], []
@@ -511,12 +550,13 @@ class TestDelayedBatch:
         monkeypatch.setattr(ring, "idm_accel", counted_law)
         monkeypatch.setattr(integrators, "_dense", counted_dense)
         sc = replace(build_uniform_scenario("idm_delayed"), t_end=60.0)
-        traj = simulate(sc)
+        simulate(sc)
         assert len(laws) == len(lookups)
-        # a step's lookup covers its five distinct stage instants; interval
-        # starts and the initial-step probe look up one instant
-        assert set(laws) == {(5, 10), (1, 10)}
-        assert laws.count((5, 10)) >= traj.times.size - 1
+        # each of the 120 intervals looks up its start and the five stage
+        # instants of its five planned steps at once; the 8 steps that ramp
+        # up from the initial step size look up their own five, and the
+        # initial-step probe one instant
+        assert Counter(laws) == {(26, 10): 120, (5, 10): 8, (1, 10): 1}
 
 
 class TestRingSeries:
