@@ -28,6 +28,8 @@ __all__ = [
 ]
 
 _HEATMAP_BLOCK = 4096  # instants per block in ``heatmap_grid``
+# Most bins ``heatmap_grid`` takes for any series: one block's int64 cell index
+MAX_HEATMAP_BINS = (2**63 - 1) // _HEATMAP_BLOCK
 
 
 def voronoi_density(gaps) -> np.ndarray:
@@ -425,16 +427,17 @@ def heatmap_grid(series: RingSeries, n_bins: int = 100):
     of every cell holding at least one vehicle, in row-major cell order.
     Empty cells are not returned, so memory does not grow with n_bins.
 
-    The cells are found one block of _HEATMAP_BLOCK instants at a time. A
-    cell never spans two blocks, so each block's sums are complete, and
-    they go straight into the three outputs, which hold at most one entry
-    per vehicle per instant.
+    The cells are found one block of _HEATMAP_BLOCK instants at a time and
+    keyed by instant within the block, so up to MAX_HEATMAP_BINS bins fit
+    any series. A cell never spans two blocks, so each block's sums are
+    complete, and they go straight into the three outputs, which hold at
+    most one entry per vehicle per instant.
     """
     if n_bins < 1:
         raise ValueError("n_bins must be at least 1")
     n_t, n_veh = series.velocities.shape
-    if n_t * int(n_bins) >= 2**63:
-        raise ValueError(f"{n_t} samples x {n_bins} bins overflow the int64 cell index")
+    if min(n_t, _HEATMAP_BLOCK) * int(n_bins) >= 2**63:
+        raise ValueError(f"{n_bins} bins overflow the int64 cell index")
     width = series.ring_length / n_bins
     rows = np.empty(n_t * n_veh, dtype=np.int64)
     bins = np.empty_like(rows)
@@ -443,12 +446,13 @@ def heatmap_grid(series: RingSeries, n_bins: int = 100):
     for i in range(0, n_t, _HEATMAP_BLOCK):
         blk = slice(i, i + _HEATMAP_BLOCK)
         cell_bin = np.minimum((series.positions[blk] / width).astype(int), n_bins - 1)
-        instant = np.arange(i, i + len(cell_bin))[:, None]
+        instant = np.arange(len(cell_bin))[:, None]
         # sum over the block's occupied cells only; bincount adds each
         # cell's speeds in input order, as np.add.at does
         cells, which = np.unique((instant * n_bins + cell_bin).ravel(), return_inverse=True)
         end = k + cells.size
         np.divmod(cells, n_bins, out=(rows[k:end], bins[k:end]))
+        rows[k:end] += i
         np.divide(np.bincount(which, weights=series.velocities[blk].ravel()),
                   np.bincount(which), out=mean_v[k:end])
         k = end

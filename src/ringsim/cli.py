@@ -76,6 +76,8 @@ class OutputSettings:
     def __post_init__(self):
         if self.heatmap_bins < 1:
             raise ValueError("heatmap_bins must be at least 1")
+        if self.heatmap_bins > analysis.MAX_HEATMAP_BINS:
+            raise ValueError(f"heatmap_bins must be at most {analysis.MAX_HEATMAP_BINS}")
 
 
 @dataclass

@@ -4,10 +4,11 @@ An embedded Dormand-Prince 5(4) Runge-Kutta stepper with PI step-size
 control and a 4th-order dense-output interpolant drives both entry points:
 :func:`integrate_ode` for plain initial-value problems and
 :func:`integrate_dde` for systems with a single constant lag whose state
-before t0 is the initial state. One driver solves both by the method of
-steps: each lag-length interval is integrated with delayed lookups read off
-the dense interpolant of already-completed steps, a delayed instant before
-t0 being clamped to t0. An ODE is the lag-free case, one interval long.
+before t0 is the initial state. One stepping loop solves both by the
+method of steps: it steps up to each breakpoint t0 + k*tau and there starts
+the next lag-length interval, whose delayed lookups are read off the dense
+interpolant of already-completed steps, a delayed instant before t0 being
+clamped to t0. An ODE is the lag-free case, one interval long.
 
 One evaluator reads every state off a trajectory, at a scalar instant or
 at a 1-d array of them: the delayed lookups while integrating,
@@ -23,7 +24,7 @@ looks up its own five instants. Each lookup passes through the caller's
 ``lag_map`` once, so work that depends on the delayed state alone runs
 once per lag interval on a run at the cap; the ODE path lags nothing.
 Every step reads the bits it would read by a lookup of its own. The stage
-loop works in buffers allocated once per lag interval.
+loop works in buffers allocated once per run.
 
 The dense output is stored once. Each accepted step keeps its end state
 and four interpolation coefficients per component, about 40 bytes per
@@ -207,10 +208,12 @@ class _Builder:
     ``rows`` instants and double when they fill. They are allocated
     uninitialised, so rows past the last written one take address space
     but no resident memory. The step row of the last stored instant is a
-    zero step of unit length, written with the instant.
+    zero step of unit length, written with the instant. ``attempts``
+    counts the run's attempted steps, accepted and rejected, across all
+    its lag intervals; the step loop holds it to ``max_steps``.
     """
 
-    def __init__(self, t0: float, y0: np.ndarray, max_steps: int, rows: int):
+    def __init__(self, t0: float, y0: np.ndarray, rows: int):
         dim = y0.size
         self.times = np.empty(rows)
         self.states = np.empty((rows, dim))
@@ -219,7 +222,6 @@ class _Builder:
         self.n = 0
         self.events: list[tuple[float, object]] = []
         self.attempts = 0
-        self.max_steps = max_steps
         self._store(t0, y0)
 
     def _store(self, t: float, y: np.ndarray):
@@ -254,10 +256,6 @@ class _Builder:
     @property
     def t_last(self) -> float:
         return float(self.times[self.n - 1])
-
-    @property
-    def y_last(self) -> np.ndarray:
-        return self.states[self.n - 1]
 
     def evaluate(self, t) -> np.ndarray:
         # Causality guard: delayed lookups must never target uncomputed
@@ -299,105 +297,140 @@ def _initial_step(f, t0, y0, f0, rel_tol, abs_tol, h_cap, dom=()):
     return min(100 * h0, h1, h_cap)
 
 
-def _plan(t, t_end, h_cap):
-    """The (t, h) of every step from t to t_end if each is accepted at the
-    cap, by the arithmetic of :func:`_advance`'s loop."""
+def _clip(t, h, stop):
+    """(h, h_floor, t_new) of a step of at most h from t, cut to end at stop.
+
+    A step below h_floor is too small to take. t_new = t + h is snapped
+    onto stop within h_floor of it, so each breakpoint is reached exactly.
+    """
+    h = min(h, stop - t)
+    h_floor = 16 * _EPS * max(abs(t), abs(stop))
+    t_new = t + h
+    return h, h_floor, stop if stop - t_new < h_floor else t_new
+
+
+def _plan(t, stop, h_cap):
+    """The (t, h) of every step from t to stop if each is accepted at the
+    cap, by the step loop's rule :func:`_clip`."""
     plan = []
-    while t < t_end:
-        h = min(h_cap, t_end - t)
-        h_floor = 16 * _EPS * max(abs(t), abs(t_end))
+    while t < stop:
+        h, h_floor, t_new = _clip(t, h_cap, stop)
         if h < h_floor:
             break
         plan.append((t, h))
-        t_new = t + h
-        t = t_end if t_end - t_new < h_floor else t_new
+        t = t_new
     return plan
 
 
-def _advance(f, lagged, builder, t_end, cfg, h_cap, dom, h_start):
-    """Step from the builder's last state up to t_end.
+def _rows_as_given(z):
+    return z
 
-    lagged is None for an ODE. For a DDE it is the pair (delay, lookup):
-    delay maps ascending instants to their delayed instants, and lookup
-    maps those to one row each. f(t, y, z) is the derivative at t given
-    the row z for t (None for an ODE).
 
-    A DDE first looks up the start instant and the stage instants of every
-    step that :func:`_plan` lays out. A step whose (t, h) is planned takes
+def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given) -> Trajectory:
+    """dy/dt = f(t, y, y(t - tau)), with y = y0 before t0, by the method of steps.
+
+    f(t, y, z) is the derivative at t given the row z that lag_map makes
+    of y(t - tau) (None for an ODE). One loop steps from t0 to t_end.
+    Steps never cross a breakpoint t0 + k*tau, where the derivative may
+    jump, or exceed tau, so a delayed instant, clamped to t0, always lands
+    in completed steps, and t0 reads the stored y0 exactly. An ODE is the
+    lag-free case tau = inf: one interval, steps capped at h_max, no
+    delayed state. An empty span evaluates nothing.
+
+    Each breakpoint, t0 included, starts a lag interval. A DDE first looks
+    up the interval's start instant and the stage instants of every step
+    that :func:`_plan` lays out. A step whose (t, h) is planned takes
     those rows; any other looks up its own. A delayed instant that rounds
     past t, the last stored instant, reads t's state only until the next
     step is stored, so the plan ends before the first later step that
     reads one. If the planned lookup raises dom, nothing is planned, and
-    the error hits the step whose own lookup raises it.
+    the error hits the step whose own lookup raises it. Every interval
+    evaluates its start derivative afresh and restarts the step-size
+    controller's memory; the step size carries over.
 
     Stage states and the error norm are computed in buffers allocated once
-    per call, operation for operation as y + h * (A @ k) and
+    per run, operation for operation as y + h * (A @ k) and
     max |h * (E @ k)| / scale, so the buffers change no bit of the result.
-
-    Returns (status, h_next): status "completed" when t_end was hit,
-    "terminated" when f raised the domain error dom at the start state or
-    down to a vanishing step; the builder's events then hold that error.
     """
-    t = builder.t_last
-    y = builder.y_last.copy()
-    k = np.empty((7, y.size))
-    batch, planned = None, {}
-    if lagged is not None:
-        delay, lookup = lagged
-        plan = _plan(t, t_end, h_cap)
-        steps = np.array(plan).reshape(-1, 2)  # rows (t, h)
-        ds = delay(np.append(t, steps[:, :1] + _C[1:6] * steps[:, 1:]))
-        # the delayed instants ascend; the first step may read past t, as
-        # no other step is stored before it is attempted
-        plan = plan[:max(1, (ds.searchsorted(t, "right") - 1) // 5)]
-        try:
-            batch = lookup(ds[:1 + 5 * len(plan)])
-        except dom:
-            pass
-        else:
-            planned = {pair: batch[1 + 5 * j: 6 + 5 * j] for j, pair in enumerate(plan)}
+    cfg = cfg or IntegratorConfig()
+    t0, t_end = float(t_span[0]), float(t_span[1])
+    if t_end < t0:
+        raise ValueError("backward integration is not supported")
+    h_cap = min(cfg.h_max, tau)
+    # A completed run takes at least (t_end - t0) / h_cap steps, and a few
+    # more while the initial step ramps up to the cap; the attempt budget
+    # bounds the count.
+    steps = math.ceil(min(cfg.max_steps, (t_end - t0) / h_cap))
+    builder = _Builder(t0, np.asarray(y0, dtype=float),
+                       1 + min(cfg.max_steps, steps + _SLACK_ROWS))
+    delayed = tau != math.inf
+
+    def delay(ts):
+        return np.maximum(ts - tau, t0)
+
+    def lookup(ds):
+        return lag_map(builder.evaluate(ds))
 
     def f_at(s, y):
-        return f(s, y, None if lagged is None else lookup(delay(np.array([s])))[0])
+        return f(s, y, lookup(delay(np.array([s])))[0] if delayed else None)
 
-    try:
-        k[0] = f_at(t, y) if batch is None else f(t, y, batch[0])
-    except dom as exc:
-        builder.end_on(t, exc)
-        return "terminated", h_start
-    if not (np.isfinite(y).all() and np.isfinite(k[0]).all()):
-        # It would give a NaN step size, which never falls below the floor,
-        # and be retried until the step budget ran out. Later steps start
-        # from accepted states: a non-finite stage makes the error norm
-        # non-finite, which rejects the step.
-        raise IntegrationError("non-finite state or derivative", t)
-    h = h_start if h_start is not None else _initial_step(
-        f_at, t, y, k[0], cfg.rel_tol, cfg.abs_tol, h_cap, dom
-    )
-    err_prev = 1e-4
-    just_rejected = False
-    domain_exc = None  # the last domain error since the last accepted step
+    t, y = t0, builder.states[0].copy()
+    k = np.empty((7, y.size))
     y1, dy, scale, ay1 = (np.empty_like(y) for _ in range(4))
     ay = np.abs(y)  # |y| of the step's start state, for the error norm
-    rows = _NO_LAG
+    h, rows, stop, n_stop = cfg.h_init, _NO_LAG, t0, 0
 
     while t < t_end:
-        h = min(h, h_cap, t_end - t)
-        h_floor = 16 * _EPS * max(abs(t), abs(t_end))
+        if t == stop:  # a breakpoint: start the next lag interval
+            while stop <= t:
+                n_stop += 1
+                stop = min(t0 + n_stop * tau, t_end)
+            batch, planned = None, {}
+            if delayed:
+                plan = _plan(t, stop, h_cap)
+                pairs = np.array(plan).reshape(-1, 2)  # rows (t, h)
+                ds = delay(np.append(t, pairs[:, :1] + _C[1:6] * pairs[:, 1:]))
+                # the delayed instants ascend; the first step may read past t,
+                # as no other step is stored before it is attempted
+                plan = plan[:max(1, (ds.searchsorted(t, "right") - 1) // 5)]
+                try:
+                    batch = lookup(ds[:1 + 5 * len(plan)])
+                except dom:
+                    pass
+                else:
+                    planned = {pair: batch[1 + 5 * j: 6 + 5 * j]
+                               for j, pair in enumerate(plan)}
+            try:
+                k[0] = f_at(t, y) if batch is None else f(t, y, batch[0])
+            except dom as exc:
+                builder.end_on(t, exc)
+                return builder.finish("terminated")
+            if not (np.isfinite(y).all() and np.isfinite(k[0]).all()):
+                # It would give a NaN step size, which never falls below the
+                # floor, and be retried until the step budget ran out. Later
+                # steps start from accepted states: a non-finite stage makes
+                # the error norm non-finite, which rejects the step.
+                raise IntegrationError("non-finite state or derivative", t)
+            if h is None:
+                h = _initial_step(f_at, t, y, k[0], cfg.rel_tol, cfg.abs_tol, h_cap, dom)
+            # domain_exc: the last domain error since the last accepted step
+            err_prev, just_rejected, domain_exc = 1e-4, False, None
+
+        h, h_floor, t_new = _clip(t, min(h, h_cap), stop)
         if h < h_floor:
             if domain_exc is not None:
                 builder.end_on(t, domain_exc)
-                return "terminated", h
+                return builder.finish("terminated")
             raise IntegrationError(
                 "step size underflow; right-hand side too stiff or discontinuous", t
             )
         builder.attempts += 1
-        if builder.attempts > builder.max_steps:
+        if builder.attempts > cfg.max_steps:
             raise IntegrationError("step budget exhausted", t)
         try:
             # the last stage's state is the accepted state, so every
             # accepted state has passed f's domain check
-            if lagged is not None:
+            if delayed:
                 rows = planned.get((t, h))
                 if rows is None:
                     rows = lookup(delay(t + _C[1:6] * h))
@@ -432,11 +465,7 @@ def _advance(f, lagged, builder, t_end, cfg, h_cap, dom, h_start):
             continue
         # accepted
         domain_exc = None
-        coeff = k.T @ _P
-        t_new = t + h
-        if t_end - t_new < h_floor:
-            t_new = t_end
-        builder.append(t_new, y1, coeff, h)
+        builder.append(t_new, y1, k.T @ _P, h)
         if err == 0.0:
             factor = _MAX_FACTOR
         else:
@@ -451,44 +480,7 @@ def _advance(f, lagged, builder, t_end, cfg, h_cap, dom, h_start):
         ay, ay1 = ay1, ay
         k[0] = k[6]  # FSAL
         h *= factor
-    return "completed", h
-
-
-def _rows_as_given(z):
-    return z
-
-
-def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given) -> Trajectory:
-    """dy/dt = f(t, y, y(t - tau)), with y = y0 before t0, by the method of steps.
-
-    Each lag-length interval ends at a breakpoint t0 + k*tau, where the
-    derivative may jump. Steps never cross it or exceed tau, so a delayed
-    instant, clamped to t0, always lands in completed steps, and t0 reads
-    the stored y0 exactly. lag_map turns each lookup's (m, dim) delayed
-    states into the m rows f is given. An ODE is the lag-free case
-    tau = inf: one interval, steps capped at h_max, no delayed state. An
-    empty span evaluates nothing.
-    """
-    cfg = cfg or IntegratorConfig()
-    t0, t_end = float(t_span[0]), float(t_span[1])
-    if t_end < t0:
-        raise ValueError("backward integration is not supported")
-    h_cap = min(cfg.h_max, tau)
-    # A completed run takes at least (t_end - t0) / h_cap steps, and a few
-    # more while the initial step ramps up to the cap; the attempt budget
-    # bounds the count.
-    steps = math.ceil(min(cfg.max_steps, (t_end - t0) / h_cap))
-    rows = 1 + min(cfg.max_steps, steps + _SLACK_ROWS)
-    builder = _Builder(t0, np.asarray(y0, dtype=float), cfg.max_steps, rows)
-    lagged = None if tau == math.inf else (
-        lambda ts: np.maximum(ts - tau, t0), lambda ds: lag_map(builder.evaluate(ds)))
-    status, h_next, k = "completed", cfg.h_init, 1
-    while status == "completed" and builder.t_last < t_end:
-        stop = min(t0 + k * tau, t_end)
-        if stop > builder.t_last:
-            status, h_next = _advance(f, lagged, builder, stop, cfg, h_cap, dom, h_next)
-        k += 1
-    return builder.finish(status)
+    return builder.finish("completed")
 
 
 def integrate_ode(f, y0, t_span, cfg: IntegratorConfig | None = None,

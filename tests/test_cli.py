@@ -289,6 +289,9 @@ class TestConfigErrors:
         ({"scenario": _IDM, "outputs": {"heatmap_bins": None}}, "outputs.heatmap_bins"),
         ({"scenario": _IDM, "outputs": {"fd": 1}}, "outputs.fd"),
         ({"scenario": _IDM, "outputs": {"dir": 5}}, "outputs.dir"),
+        # read before integrating, not when the heatmap's cell index overflows
+        ({"scenario": _IDM, "outputs": {"heatmap_bins": 10**18}},
+         "outputs: heatmap_bins must be at most 2251799813685247"),
     ])
     def test_rejected_value_names_field(self, tmp_path, capsys, cfg, field):
         path = tmp_path / "bad.json"

@@ -296,23 +296,29 @@ class TestDde:
     def test_lookup_past_last_instant(self):
         # a lookup past the last stored instant by rounding reads its state;
         # one further on is a logic error
-        builder = integrators._Builder(0.0, np.zeros(1), 10, 2)
+        builder = integrators._Builder(0.0, np.zeros(1), 2)
         builder.append(3.9, np.ones(1), np.zeros((1, 4)), 3.9)
         assert np.array_equal(builder.evaluate(3.9000000000000004), [1.0])
         with pytest.raises(AssertionError, match="beyond computed solution"):
             builder.evaluate(3.9 + 1e-9)
 
     def test_future_lookup_still_guarded(self, monkeypatch):
-        # steps that ignore the breakpoints look up uncomputed solution
-        advance = integrators._advance
-
-        def no_breakpoints(f, lagged, builder, t_end, cfg, h_cap, dom, h_start):
-            return advance(f, lagged, builder, 10.0, cfg, cfg.h_max, dom, h_start)
-
-        monkeypatch.setattr(integrators, "_advance", no_breakpoints)
+        # a plan that ignores the breakpoints looks up uncomputed solution
+        monkeypatch.setattr(integrators, "_plan", lambda t, t_end, h_cap: [(t, 10.0)])
         with pytest.raises(AssertionError, match="beyond computed solution"):
             integrate_dde(dde_rhs, [1.0], 0.3, (0.0, 10.0),
                           IntegratorConfig(h_max=10.0))
+
+    def test_step_budget_spans_lag_intervals(self):
+        # 3 steps reach the first breakpoint and 100 the end; a budget of 20
+        # counts the attempts of every interval, not of the current one
+        cfg = IntegratorConfig(h_max=0.1, max_steps=20)
+        full = integrate_dde(dde_rhs, [1.0], 0.3, (0.0, 10.0), replace(cfg, max_steps=100))
+        assert full.status == "completed"
+        assert np.count_nonzero(full.times[1:] <= 0.3) == 3
+        with pytest.raises(IntegrationError, match="step budget exhausted") as exc:
+            integrate_dde(dde_rhs, [1.0], 0.3, (0.0, 10.0), cfg)
+        assert exc.value.t_reached == pytest.approx(2.0)
 
     def test_nonpositive_lag_rejected(self):
         with pytest.raises(ValueError):
@@ -358,17 +364,21 @@ class TestDde:
         assert np.array_equal(delayed._h, oracle._h)
 
     def test_one_lookup_per_interval_and_off_plan_step(self, monkeypatch):
-        dense, advance = integrators._dense, integrators._advance
-        integrate = integrators._integrate
-        lookups, builders, maps = [], [], []
+        dense, plan = integrators._dense, integrators._plan
+        integrate, init = integrators._integrate, integrators._Builder.__init__
+        lookups, plans, builders, maps = [], [], [], []
 
         def counted_dense(*args):
             lookups.append(np.shape(args[-1]))
             return dense(*args)
 
-        def counted_advance(f, lagged, builder, *rest):
+        def counted_plan(*args):
+            plans.append(args)
+            return plan(*args)
+
+        def counted_init(builder, *args):
             builders.append(builder)
-            return advance(f, lagged, builder, *rest)
+            init(builder, *args)
 
         def counted_integrate(*args):
             *rest, lag_map = args
@@ -380,10 +390,11 @@ class TestDde:
             return integrate(*rest, counted_map)
 
         monkeypatch.setattr(integrators, "_dense", counted_dense)
-        monkeypatch.setattr(integrators, "_advance", counted_advance)
+        monkeypatch.setattr(integrators, "_plan", counted_plan)
+        monkeypatch.setattr(integrators._Builder, "__init__", counted_init)
         monkeypatch.setattr(integrators, "_integrate", counted_integrate)
         traj = simulate_delayed_ring()
-        intervals = len(builders)
+        intervals = len(plans)  # one plan per lag interval
         assert intervals == 120  # 60 s at tau = 0.5 s
         assert builders[0].attempts == traj.times.size - 1  # none rejected
         # the first interval's steps ramp up from the initial step size and

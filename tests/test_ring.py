@@ -507,20 +507,25 @@ class TestDelayedBatch:
     def test_off_plan_steps_match_per_stage_evaluation(self, monkeypatch, tau, t_end,
                                                        rejects):
         sc = replace(build_uniform_scenario("mixed_delayed"), tau=tau, t_end=t_end)
-        dense, advance = integrators._dense, integrators._advance
-        lookups, builders = [], []
+        dense, plan, init = integrators._dense, integrators._plan, integrators._Builder.__init__
+        lookups, plans, builders = [], [], []
 
         def counted_dense(*args):
             lookups.append(np.size(args[-1]))
             return dense(*args)
 
-        def counted_advance(f, lagged, builder, *rest):
+        def counted_plan(*args):
+            plans.append(args)
+            return plan(*args)
+
+        def counted_init(builder, *args):
             builders.append(builder)
-            return advance(f, lagged, builder, *rest)
+            init(builder, *args)
 
         with monkeypatch.context() as m:
             m.setattr(integrators, "_dense", counted_dense)
-            m.setattr(integrators, "_advance", counted_advance)
+            m.setattr(integrators, "_plan", counted_plan)
+            m.setattr(integrators._Builder, "__init__", counted_init)
             batched = simulate(sc)
         oracle = simulate_per_stage(monkeypatch, sc)
         assert batched.status == oracle.status == "completed"
@@ -528,7 +533,7 @@ class TestDelayedBatch:
         assert np.array_equal(batched.states, oracle.states)
         assert np.array_equal(batched._coeffs, oracle._coeffs)
         assert np.array_equal(batched._h, oracle._h)
-        attempts, intervals = builders[0].attempts, len(builders)
+        attempts, intervals = builders[0].attempts, len(plans)  # one plan per interval
         off_plan = lookups.count(5)
         # some steps leave the plan and some follow it
         assert 0 < off_plan < attempts
