@@ -464,7 +464,7 @@ def run_one(cfg: RunConfig, out_dir: str) -> tuple[int, dict]:
 
 
 def _default_out_dir() -> str:
-    return os.environ.get(OUT_ENV_VAR, "runs")
+    return os.environ.get(OUT_ENV_VAR) or "runs"  # set but empty counts as unset
 
 
 def _check_out_dir(path: str) -> None:

@@ -26,12 +26,13 @@ once per lag interval on a run at the cap; the ODE path lags nothing.
 Every step reads the bits it would read by a lookup of its own. The stage
 loop works in buffers allocated once per run.
 
-The dense output is stored once. Each accepted step keeps its end state
-and four interpolation coefficients per component, about 40 bytes per
-component, in storage sized at the start for the steps the step cap
-implies; a run that outgrows it doubles it. The returned Trajectory owns
-that storage uncopied, and :meth:`Trajectory.final` keeps only the end of
-a run, so that the rest can be freed once it has been sampled.
+The dense output is stored once, in the Trajectory the solver returns.
+Each accepted step appends its end state and four interpolation
+coefficients per component, about 40 bytes per component, to storage
+sized at the start for the steps the step cap implies, doubled for a run
+that outgrows it, and returned cut to the stored rows, uncopied.
+:meth:`Trajectory.final` keeps only the end of a run, so that the rest
+can be freed once it has been sampled.
 """
 
 from __future__ import annotations
@@ -161,19 +162,73 @@ class Trajectory:
     "completed" for a full span or "terminated" when a domain error stopped
     the run; ``events`` then holds one (time, exception) pair, the time
     being that of the last accepted state.
+
+    The solver fills a Trajectory of one instant, t0, as it integrates and
+    reads its delayed states back from it while appending. The arrays
+    start with room for ``rows`` instants and double when they fill. They
+    are allocated uninitialised, so rows past the last written one take
+    address space but no resident memory; the solver cuts the arrays to
+    the stored rows, uncopied, before it returns them. The step row of the
+    last stored instant is a zero step of unit length, written with the
+    instant. ``attempts`` counts the run's attempted steps, accepted and
+    rejected, across all its lag intervals; the step loop holds it to
+    ``max_steps``.
     """
 
-    def __init__(self, times, states, step_coeffs, step_sizes, events, status):
-        self.times = times
-        self.states = states
-        self._coeffs = step_coeffs      # (n, dim, 4), last row zero
-        self._h = step_sizes            # (n,), last entry 1
-        self.events = events
-        self.status = status
+    def __init__(self, t0: float, y0: np.ndarray, rows: int = 1):
+        self.times = np.empty(rows)
+        self.states = np.empty((rows, y0.size))
+        self._coeffs = np.empty((rows, y0.size, 4))
+        self._h = np.empty(rows)
+        self._n = 0
+        self.events: list[tuple[float, object]] = []
+        self.status = "completed"
+        self.attempts = 0
+        self._store(t0, y0)
+
+    def _store(self, t: float, y: np.ndarray):
+        """Write instant n and the zero step that follows it."""
+        n = self._n
+        if n == self.times.size:
+            for name in ("times", "states", "_coeffs", "_h"):
+                old = getattr(self, name)
+                new = np.empty((2 * n,) + old.shape[1:])
+                new[:n] = old
+                setattr(self, name, new)
+        self.times[n] = t
+        self.states[n] = y
+        self._coeffs[n] = 0.0
+        self._h[n] = 1.0
+        self._n = n + 1
+
+    def append(self, t: float, y: np.ndarray, coeff: np.ndarray, h: float):
+        self._store(t, y)
+        self._coeffs[self._n - 2] = coeff
+        self._h[self._n - 2] = h
+
+    def _end_on(self, t: float, exc: BaseException):
+        """Record the domain error that ends the run at t, without its
+        traceback: the solver frames it holds would keep this storage alive."""
+        self.events.append((t, exc.with_traceback(None)))
+        self.status = "terminated"
 
     @property
     def t_end(self) -> float:
         return float(self.times[-1])
+
+    def _lookup(self, t) -> np.ndarray:
+        # Causality guard: delayed lookups must never target uncomputed
+        # solution. The method-of-steps interval layout keeps them at or
+        # before the last instant, up to the rounding of t + h - tau (below
+        # 16 eps of the instants' magnitude); the zero step past the last
+        # instant gives its stored state. A batch is guarded by its latest
+        # instant. Failing here is an internal logic error.
+        t = np.asarray(t, dtype=float)
+        latest = float(t.max())
+        t_last = float(self.times[self._n - 1])
+        if latest > t_last and latest - t_last > 16 * _EPS * max(abs(self.times[0]), abs(t_last)):
+            raise AssertionError(f"lookup at t={latest!r} beyond computed solution")
+        return _dense(self.times[:self._n], self.states, self._coeffs, self._h, t)
 
     def evaluate(self, t) -> np.ndarray:
         """Dense-output state at t, or states at a 1-d array of instants t.
@@ -194,88 +249,9 @@ class Trajectory:
         """The trajectory cut down to its last accepted instant, with the
         same status and events, in arrays of its own: it keeps none of the
         dense output of the earlier steps alive."""
-        return Trajectory(self.times[-1:].copy(), self.states[-1:].copy(),
-                          self._coeffs[-1:].copy(), self._h[-1:].copy(),
-                          self.events, self.status)
-
-
-class _Builder:
-    """Storage for accepted steps, readable while integrating.
-
-    Delay integration reads completed steps through ``evaluate`` while new
-    ones are still being appended, so lookups are served from the same
-    arrays the final Trajectory will own. The arrays start with room for
-    ``rows`` instants and double when they fill. They are allocated
-    uninitialised, so rows past the last written one take address space
-    but no resident memory. The step row of the last stored instant is a
-    zero step of unit length, written with the instant. ``attempts``
-    counts the run's attempted steps, accepted and rejected, across all
-    its lag intervals; the step loop holds it to ``max_steps``.
-    """
-
-    def __init__(self, t0: float, y0: np.ndarray, rows: int):
-        dim = y0.size
-        self.times = np.empty(rows)
-        self.states = np.empty((rows, dim))
-        self.coeffs = np.empty((rows, dim, 4))
-        self.hs = np.empty(rows)
-        self.n = 0
-        self.events: list[tuple[float, object]] = []
-        self.attempts = 0
-        self._store(t0, y0)
-
-    def _store(self, t: float, y: np.ndarray):
-        """Write instant n and the zero step that follows it."""
-        n = self.n
-        if n == self.times.size:
-            self._grow()
-        self.times[n] = t
-        self.states[n] = y
-        self.coeffs[n] = 0.0
-        self.hs[n] = 1.0
-        self.n = n + 1
-
-    def _grow(self):
-        n = self.n
-        for name in ("times", "states", "coeffs", "hs"):
-            old = getattr(self, name)
-            new = np.empty((2 * n,) + old.shape[1:])
-            new[:n] = old[:n]
-            setattr(self, name, new)
-
-    def append(self, t: float, y: np.ndarray, coeff: np.ndarray, h: float):
-        self._store(t, y)
-        self.coeffs[self.n - 2] = coeff
-        self.hs[self.n - 2] = h
-
-    def end_on(self, t: float, exc: BaseException):
-        """Record the domain error that ends the run at t, without its
-        traceback: the solver frames it holds would keep this storage alive."""
-        self.events.append((t, exc.with_traceback(None)))
-
-    @property
-    def t_last(self) -> float:
-        return float(self.times[self.n - 1])
-
-    def evaluate(self, t) -> np.ndarray:
-        # Causality guard: delayed lookups must never target uncomputed
-        # solution. The method-of-steps interval layout keeps them at or
-        # before the last instant, up to the rounding of t + h - tau (below
-        # 16 eps of the instants' magnitude); the zero step past the last
-        # instant gives its stored state. A batch is guarded by its latest
-        # instant. Failing here is an internal logic error.
-        t = np.asarray(t, dtype=float)
-        latest = float(t.max())
-        t_last = self.t_last
-        if latest > t_last and latest - t_last > 16 * _EPS * max(abs(self.times[0]), abs(t_last)):
-            raise AssertionError(f"lookup at t={latest!r} beyond computed solution")
-        return _dense(self.times[: self.n], self.states, self.coeffs, self.hs, t)
-
-    def finish(self, status: str) -> Trajectory:
-        """The Trajectory of the stored steps; it owns the filled rows, uncopied."""
-        n = self.n
-        return Trajectory(self.times[:n], self.states[:n], self.coeffs[:n], self.hs[:n],
-                          self.events, status)
+        end = Trajectory(self.t_end, self.states[-1])
+        end.events, end.status = self.events, self.status
+        return end
 
 
 def _initial_step(f, t0, y0, f0, rel_tol, abs_tol, h_cap, dom=()):
@@ -361,20 +337,20 @@ def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given) -> Trajecto
     # more while the initial step ramps up to the cap; the attempt budget
     # bounds the count.
     steps = math.ceil(min(cfg.max_steps, (t_end - t0) / h_cap))
-    builder = _Builder(t0, np.asarray(y0, dtype=float),
-                       1 + min(cfg.max_steps, steps + _SLACK_ROWS))
+    traj = Trajectory(t0, np.asarray(y0, dtype=float),
+                      1 + min(cfg.max_steps, steps + _SLACK_ROWS))
     delayed = tau != math.inf
 
     def delay(ts):
         return np.maximum(ts - tau, t0)
 
     def lookup(ds):
-        return lag_map(builder.evaluate(ds))
+        return lag_map(traj._lookup(ds))
 
     def f_at(s, y):
         return f(s, y, lookup(delay(np.array([s])))[0] if delayed else None)
 
-    t, y = t0, builder.states[0].copy()
+    t, y = t0, traj.states[0].copy()
     k = np.empty((7, y.size))
     y1, dy, scale, ay1 = (np.empty_like(y) for _ in range(4))
     ay = np.abs(y)  # |y| of the step's start state, for the error norm
@@ -403,8 +379,8 @@ def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given) -> Trajecto
             try:
                 k[0] = f_at(t, y) if batch is None else f(t, y, batch[0])
             except dom as exc:
-                builder.end_on(t, exc)
-                return builder.finish("terminated")
+                traj._end_on(t, exc)
+                break
             if not (np.isfinite(y).all() and np.isfinite(k[0]).all()):
                 # It would give a NaN step size, which never falls below the
                 # floor, and be retried until the step budget ran out. Later
@@ -419,13 +395,13 @@ def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given) -> Trajecto
         h, h_floor, t_new = _clip(t, min(h, h_cap), stop)
         if h < h_floor:
             if domain_exc is not None:
-                builder.end_on(t, domain_exc)
-                return builder.finish("terminated")
+                traj._end_on(t, domain_exc)
+                break
             raise IntegrationError(
                 "step size underflow; right-hand side too stiff or discontinuous", t
             )
-        builder.attempts += 1
-        if builder.attempts > cfg.max_steps:
+        traj.attempts += 1
+        if traj.attempts > cfg.max_steps:
             raise IntegrationError("step budget exhausted", t)
         try:
             # the last stage's state is the accepted state, so every
@@ -465,7 +441,7 @@ def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given) -> Trajecto
             continue
         # accepted
         domain_exc = None
-        builder.append(t_new, y1, k.T @ _P, h)
+        traj.append(t_new, y1, k.T @ _P, h)
         if err == 0.0:
             factor = _MAX_FACTOR
         else:
@@ -480,7 +456,10 @@ def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given) -> Trajecto
         ay, ay1 = ay1, ay
         k[0] = k[6]  # FSAL
         h *= factor
-    return builder.finish("completed")
+    n = traj._n  # the returned arrays are views of the stored rows, uncopied
+    traj.times, traj.states, traj._coeffs, traj._h = (
+        traj.times[:n], traj.states[:n], traj._coeffs[:n], traj._h[:n])
+    return traj
 
 
 def integrate_ode(f, y0, t_span, cfg: IntegratorConfig | None = None,

@@ -159,6 +159,38 @@ class TestRun:
         assert run_cli("run", "--preset", "idm", "--t-end", "2") == 0
         assert target.is_dir()
 
+    @pytest.mark.parametrize("command, source", [
+        ("run", "env"), ("run", "flag"), ("run", "config"),
+        ("compare", "env"), ("compare", "flag"),  # compare reads no config file
+    ])
+    def test_empty_out_dir_means_runs(self, tmp_path, monkeypatch, command, source):
+        # an empty output path is unset: the files go under ./runs, and no
+        # artifact of the working directory is removed
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(cli.OUT_ENV_VAR, raising=False)
+        sentinel = tmp_path / "stats.json"
+        sentinel.write_text("keep")
+        if command == "run":
+            argv = ("run", "--preset", "idm", "--t-end", "1")
+        else:
+            argv = ("compare", "--presets", "idm", "--t-end", "1")
+        if source == "env":
+            monkeypatch.setenv(cli.OUT_ENV_VAR, "")
+        elif source == "flag":
+            argv += ("-o", "")
+        else:
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({"scenario": {"preset": "idm", "t_end": 1.0},
+                                        "outputs": {"dir": ""}}))
+            argv = ("run", "--config", str(path))
+        assert run_cli(*argv) == 0
+        assert sentinel.read_text() == "keep"
+        if command == "run":
+            assert (tmp_path / "runs" / "stats.json").is_file()
+        else:
+            assert (tmp_path / "runs" / "idm" / "stats.json").is_file()
+            assert (tmp_path / "runs" / "compare.csv").is_file()
+
 
 _IDM = {"preset": "idm"}
 _INLINE = {"ring_length": 50.0, "vehicles": [{"controller": "idm"}] * 2}

@@ -9,6 +9,7 @@ from ringsim import integrators, ring
 from ringsim.integrators import (
     IntegrationError,
     IntegratorConfig,
+    Trajectory,
     integrate_dde,
     integrate_ode,
 )
@@ -294,13 +295,16 @@ class TestDde:
         assert abs(traj.states[-1, 0] - ref.states[-1, 0]) < 1e-3
 
     def test_lookup_past_last_instant(self):
-        # a lookup past the last stored instant by rounding reads its state;
-        # one further on is a logic error
-        builder = integrators._Builder(0.0, np.zeros(1), 2)
-        builder.append(3.9, np.ones(1), np.zeros((1, 4)), 3.9)
-        assert np.array_equal(builder.evaluate(3.9000000000000004), [1.0])
+        # a delayed lookup past the last stored instant by rounding reads
+        # its state; one further on is a logic error. The public evaluate
+        # admits nothing past the span.
+        traj = Trajectory(0.0, np.zeros(1), 2)
+        traj.append(3.9, np.ones(1), np.zeros((1, 4)), 3.9)
+        assert np.array_equal(traj._lookup(3.9000000000000004), [1.0])
         with pytest.raises(AssertionError, match="beyond computed solution"):
-            builder.evaluate(3.9 + 1e-9)
+            traj._lookup(3.9 + 1e-9)
+        with pytest.raises(ValueError, match="outside the trajectory span"):
+            traj.evaluate(np.nextafter(traj.t_end, np.inf))
 
     def test_future_lookup_still_guarded(self, monkeypatch):
         # a plan that ignores the breakpoints looks up uncomputed solution
@@ -332,25 +336,26 @@ class TestDde:
     def test_lookups_return_stored_states_exactly(self, monkeypatch):
         # every stored instant sits at theta = 0 of its own step; the newest
         # one is served by the zero step stored past it
-        builders = []
-        append = integrators._Builder.append
+        filled = []
+        append = Trajectory.append
 
-        def checked_append(builder, t, y, coeff, h):
-            if not builders:
-                builders.append((builder, builder.times.size))
-            append(builder, t, y, coeff, h)
-            assert np.array_equal(builder.evaluate(t), y)
+        def checked_append(traj, t, y, coeff, h):
+            if not filled:
+                filled.append((traj, traj.times.size))
+            append(traj, t, y, coeff, h)
+            assert np.array_equal(traj._lookup(t), y)
 
-        monkeypatch.setattr(integrators._Builder, "append", checked_append)
+        monkeypatch.setattr(Trajectory, "append", checked_append)
         cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, h_max=0.1)
-        integrate_dde(dde_rhs, [1.0, 0.5], 0.3, (0.0, 60.0), cfg)
-        ((builder, start_rows),) = builders
+        traj = integrate_dde(dde_rhs, [1.0, 0.5], 0.3, (0.0, 60.0), cfg)
+        ((filling, start_rows),) = filled
+        assert filling is traj
         # the tolerance, not the step cap, sets the step: the run outgrows
         # the storage sized from the cap, so lookups span a regrown copy
-        assert builder.times.size > start_rows
-        for i in range(builder.n):
-            t = float(builder.times[i])
-            assert np.array_equal(builder.evaluate(t), builder.states[i])
+        assert traj.times.size > start_rows
+        for i in range(traj.times.size):
+            t = float(traj.times[i])
+            assert np.array_equal(traj._lookup(t), traj.states[i])
 
     def test_batched_lookups_match_per_instant(self, monkeypatch):
         # a step's one lookup over its stage instants gives the bits of one
@@ -365,8 +370,8 @@ class TestDde:
 
     def test_one_lookup_per_interval_and_off_plan_step(self, monkeypatch):
         dense, plan = integrators._dense, integrators._plan
-        integrate, init = integrators._integrate, integrators._Builder.__init__
-        lookups, plans, builders, maps = [], [], [], []
+        integrate = integrators._integrate
+        lookups, plans, maps = [], [], []
 
         def counted_dense(*args):
             lookups.append(np.shape(args[-1]))
@@ -375,10 +380,6 @@ class TestDde:
         def counted_plan(*args):
             plans.append(args)
             return plan(*args)
-
-        def counted_init(builder, *args):
-            builders.append(builder)
-            init(builder, *args)
 
         def counted_integrate(*args):
             *rest, lag_map = args
@@ -391,12 +392,11 @@ class TestDde:
 
         monkeypatch.setattr(integrators, "_dense", counted_dense)
         monkeypatch.setattr(integrators, "_plan", counted_plan)
-        monkeypatch.setattr(integrators._Builder, "__init__", counted_init)
         monkeypatch.setattr(integrators, "_integrate", counted_integrate)
         traj = simulate_delayed_ring()
         intervals = len(plans)  # one plan per lag interval
         assert intervals == 120  # 60 s at tau = 0.5 s
-        assert builders[0].attempts == traj.times.size - 1  # none rejected
+        assert traj.attempts == traj.times.size - 1  # none rejected
         # the first interval's steps ramp up from the initial step size and
         # leave the grid of the cap; every later step is at the cap, as
         # planned: five to an interval

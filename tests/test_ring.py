@@ -507,8 +507,8 @@ class TestDelayedBatch:
     def test_off_plan_steps_match_per_stage_evaluation(self, monkeypatch, tau, t_end,
                                                        rejects):
         sc = replace(build_uniform_scenario("mixed_delayed"), tau=tau, t_end=t_end)
-        dense, plan, init = integrators._dense, integrators._plan, integrators._Builder.__init__
-        lookups, plans, builders = [], [], []
+        dense, plan = integrators._dense, integrators._plan
+        lookups, plans = [], []
 
         def counted_dense(*args):
             lookups.append(np.size(args[-1]))
@@ -518,14 +518,9 @@ class TestDelayedBatch:
             plans.append(args)
             return plan(*args)
 
-        def counted_init(builder, *args):
-            builders.append(builder)
-            init(builder, *args)
-
         with monkeypatch.context() as m:
             m.setattr(integrators, "_dense", counted_dense)
             m.setattr(integrators, "_plan", counted_plan)
-            m.setattr(integrators._Builder, "__init__", counted_init)
             batched = simulate(sc)
         oracle = simulate_per_stage(monkeypatch, sc)
         assert batched.status == oracle.status == "completed"
@@ -533,7 +528,7 @@ class TestDelayedBatch:
         assert np.array_equal(batched.states, oracle.states)
         assert np.array_equal(batched._coeffs, oracle._coeffs)
         assert np.array_equal(batched._h, oracle._h)
-        attempts, intervals = builders[0].attempts, len(plans)  # one plan per interval
+        attempts, intervals = batched.attempts, len(plans)  # one plan per interval
         off_plan = lookups.count(5)
         # some steps leave the plan and some follow it
         assert 0 < off_plan < attempts
@@ -647,17 +642,28 @@ class TestMemory:
         assert series.times.size == 9001
         assert peak <= held + block_peak + 4096  # and the loop's views
 
-    @pytest.mark.parametrize("collision", [False, True], ids=["completed", "collision"])
-    def test_final_frees_the_dense_output(self, collision):
+    @pytest.mark.parametrize("case", ["completed", "collision", "regrown"])
+    def test_final_frees_the_dense_output(self, case):
         # without the cycle collector: the storage goes when the last
-        # reference to the full trajectory does, a collision's event included
+        # reference to the full trajectory does, a collision's event included.
+        # The returned arrays hold exactly the stored rows, also of a run
+        # that outgrew the storage sized from the step cap (716 steps).
+        collision = case == "collision"
+        cfg = None
         if collision:
             scenario, z0 = crash_scenario(0.5)
+        elif case == "regrown":
+            scenario, z0 = replace(build_uniform_scenario("mixed_delayed"), t_end=60.0), None
+            cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-14)
         else:
             scenario, z0 = replace(build_uniform_scenario("idm_delayed"), t_end=20.0), None
         gc.disable()
         try:
-            traj = simulate(scenario, z0=z0)
+            traj = simulate(scenario, cfg, z0=z0)
+            rows = traj.times.size
+            assert [a.shape[0] for a in (traj.states, traj._coeffs, traj._h)] == [rows] * 3
+            if case == "regrown":
+                assert rows == 717
             storage = weakref.ref(traj._coeffs.base)
             end = traj.final()
             status, events, last = traj.status, traj.events, traj.states[-1].copy()
