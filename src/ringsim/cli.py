@@ -494,12 +494,8 @@ def _csv_cell(x) -> str:
     return "" if x is None else repr(x) if isinstance(x, float) else str(x)
 
 
-def _fmt_cell(x):
-    if x is None:
-        return "n/a"
-    if isinstance(x, float):
-        return f"{x:.6g}"
-    return str(x)
+def _fmt_cell(x) -> str:
+    return "n/a" if x is None else f"{x:.6g}" if isinstance(x, float) else str(x)
 
 
 def cmd_run(args) -> int:
@@ -537,9 +533,11 @@ def cmd_compare(args) -> int:
     presets = [p.strip() for p in args.presets.split(",") if p.strip()]
     if not presets:
         raise ConfigError("compare.presets", "at least one preset is required")
-    for p in presets:
+    for i, p in enumerate(presets):
         if p not in ring.PRESET_NAMES:
             raise ConfigError("compare.presets", f"unknown preset {p!r}")
+        if p in presets[:i]:  # its runs would share one output directory
+            raise ConfigError("compare.presets", f"preset {p!r} given more than once")
     out_root = args.out or _default_out_dir()
     for preset in presets:
         _check_out_dir(os.path.join(out_root, preset))

@@ -5,26 +5,27 @@ control and a 4th-order dense-output interpolant drives both entry points:
 :func:`integrate_ode` for plain initial-value problems and
 :func:`integrate_dde` for systems with a single constant lag whose state
 before t0 is the initial state. One stepping loop solves both by the
-method of steps: it steps up to each breakpoint t0 + k*tau and there starts
-the next lag-length interval, whose delayed lookups are read off the dense
-interpolant of already-completed steps, a delayed instant before t0 being
-clamped to t0. An ODE is the lag-free case, one interval long.
+method of steps: no step crosses a breakpoint t0 + k*tau, so each lag
+interval reads its delayed states off the dense interpolant of completed
+steps, a delayed instant before t0 being clamped to t0. A breakpoint only
+bounds the step: the derivative there is the last step's final stage
+(FSAL), and the step size and the controller's memory carry across it.
+An ODE is the lag-free case, one interval long.
 
 One evaluator reads every state off a trajectory, at a scalar instant or
 at a 1-d array of them: the delayed lookups while integrating,
 :meth:`Trajectory.evaluate` and, through it, the uniform-rate series of
-:func:`ringsim.ring.sample`. One stage loop serves both entry points. The
-step cap fixes nearly every step of a lag interval in advance, so each
-interval starts with one lookup over its start and the five distinct
-stage instants (the last two stages share t + h) of every step it would
-take if each were accepted at the cap. A step taken as planned uses its
-rows of that batch; any other step (the ramp-up from the initial step
-size, a retry after a rejection, a step that error control shortens)
-looks up its own five instants. Each lookup passes through the caller's
-``lag_map`` once, so work that depends on the delayed state alone runs
-once per lag interval on a run at the cap; the ODE path lags nothing.
-Every step reads the bits it would read by a lookup of its own. The stage
-loop works in buffers allocated once per run.
+:func:`ringsim.ring.sample`. The step cap fixes nearly every step of a
+lag interval in advance, so each interval starts with one lookup over the
+five distinct stage instants (the last two stages share t + h) of every
+step it would take if each were accepted at the cap. A step taken as
+planned uses its rows of that batch; any other step (the ramp-up from the
+initial step size, a retry after a rejection, a step that error control
+shortens) looks up its own five instants by the same rule. Each lookup
+passes through the caller's ``lag_map`` once, so work that depends on the
+delayed state alone runs once per lag interval on a run at the cap; the
+ODE path lags nothing. Every step reads the bits it would read by a
+lookup of its own. The stage loop works in buffers allocated once per run.
 
 The dense output is stored once, in the Trajectory the solver returns.
 Each accepted step appends its end state and four interpolation
@@ -92,7 +93,7 @@ _SLACK_ROWS = 16  # rows stored beyond the step cap's count
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
-_BETA = 0.04        # PI controller: h' = h * safety * err^-(0.2-0.75b) * err_prev^-b
+_BETA = 0.04        # PI controller: h' = h * safety * err^-(0.2-0.75b) * err_prev^b
 _ORDER_EXP = 0.2 - 0.75 * _BETA
 
 
@@ -101,7 +102,9 @@ class IntegratorConfig:
     """Solver controls.
 
     rel_tol, abs_tol : per-step error bound, enforced componentwise as
-        |err_i| <= abs_tol + rel_tol * |y_i|
+        |err_i| <= abs_tol + rel_tol * |y_i|. A stopped car's speed is held
+        to abs_tol alone, and at abs_tol 1e-14 the jump of the standstill
+        clamp there can end a run in "step size underflow" (see README).
     h_init : initial step size; None selects one automatically
     h_max : step-size cap (also capped at the lag for delay runs)
     max_steps : budget of attempted (accepted plus rejected) steps
@@ -313,16 +316,17 @@ def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given) -> Trajecto
     lag-free case tau = inf: one interval, steps capped at h_max, no
     delayed state. An empty span evaluates nothing.
 
-    Each breakpoint, t0 included, starts a lag interval. A DDE first looks
-    up the interval's start instant and the stage instants of every step
-    that :func:`_plan` lays out. A step whose (t, h) is planned takes
-    those rows; any other looks up its own. A delayed instant that rounds
-    past t, the last stored instant, reads t's state only until the next
-    step is stored, so the plan ends before the first later step that
-    reads one. If the planned lookup raises dom, nothing is planned, and
-    the error hits the step whose own lookup raises it. Every interval
-    evaluates its start derivative afresh and restarts the step-size
-    controller's memory; the step size carries over.
+    A breakpoint only bounds the step: the derivative is evaluated afresh
+    only at t0, and FSAL, the step size and the controller's memory carry
+    across every later one. At each breakpoint, t0 included, a DDE looks
+    up the stage instants of every step that :func:`_plan` lays out for
+    the next lag interval, by the rule of a step's own lookup. A step
+    whose (t, h) is planned takes those rows; any other looks up its own.
+    A delayed instant that rounds past t, the last stored instant, reads
+    t's state only until the next step is stored, so the plan ends before
+    the first later step that reads one. If the planned lookup raises dom,
+    nothing is planned, and the error hits the step whose own lookup
+    raises it.
 
     Stage states and the error norm are computed in buffers allocated once
     per run, operation for operation as y + h * (A @ k) and
@@ -341,56 +345,54 @@ def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given) -> Trajecto
                       1 + min(cfg.max_steps, steps + _SLACK_ROWS))
     delayed = tau != math.inf
 
-    def delay(ts):
-        return np.maximum(ts - tau, t0)
+    def delays(t, h):  # the delayed instants of the stages t + _C[1:6] * h
+        return np.maximum(t + _C[1:6] * h - tau, t0)
 
     def lookup(ds):
         return lag_map(traj._lookup(ds))
 
     def f_at(s, y):
-        return f(s, y, lookup(delay(np.array([s])))[0] if delayed else None)
+        return f(s, y, lookup(np.maximum([s - tau], t0))[0] if delayed else None)
 
     t, y = t0, traj.states[0].copy()
     k = np.empty((7, y.size))
     y1, dy, scale, ay1 = (np.empty_like(y) for _ in range(4))
     ay = np.abs(y)  # |y| of the step's start state, for the error norm
     h, rows, stop, n_stop = cfg.h_init, _NO_LAG, t0, 0
-
-    while t < t_end:
-        if t == stop:  # a breakpoint: start the next lag interval
-            while stop <= t:
-                n_stop += 1
-                stop = min(t0 + n_stop * tau, t_end)
-            batch, planned = None, {}
-            if delayed:
-                plan = _plan(t, stop, h_cap)
-                pairs = np.array(plan).reshape(-1, 2)  # rows (t, h)
-                ds = delay(np.append(t, pairs[:, :1] + _C[1:6] * pairs[:, 1:]))
-                # the delayed instants ascend; the first step may read past t,
-                # as no other step is stored before it is attempted
-                plan = plan[:max(1, (ds.searchsorted(t, "right") - 1) // 5)]
-                try:
-                    batch = lookup(ds[:1 + 5 * len(plan)])
-                except dom:
-                    pass
-                else:
-                    planned = {pair: batch[1 + 5 * j: 6 + 5 * j]
-                               for j, pair in enumerate(plan)}
-            try:
-                k[0] = f_at(t, y) if batch is None else f(t, y, batch[0])
-            except dom as exc:
-                traj._end_on(t, exc)
-                break
+    # domain_exc: the last domain error since the last accepted step
+    err_prev, just_rejected, domain_exc = 1e-4, False, None
+    if t < t_end:  # an empty span evaluates nothing
+        try:
+            k[0] = f_at(t, y)
+        except dom as exc:
+            traj._end_on(t, exc)
+            t_end = t  # no step is taken
+        else:
             if not (np.isfinite(y).all() and np.isfinite(k[0]).all()):
                 # It would give a NaN step size, which never falls below the
-                # floor, and be retried until the step budget ran out. Later
-                # steps start from accepted states: a non-finite stage makes
-                # the error norm non-finite, which rejects the step.
+                # floor, retried until the step budget ran out. Later steps
+                # start from accepted states; a non-finite stage rejects its step.
                 raise IntegrationError("non-finite state or derivative", t)
             if h is None:
                 h = _initial_step(f_at, t, y, k[0], cfg.rel_tol, cfg.abs_tol, h_cap, dom)
-            # domain_exc: the last domain error since the last accepted step
-            err_prev, just_rejected, domain_exc = 1e-4, False, None
+
+    while t < t_end:
+        if t == stop:  # a breakpoint: plan the next lag interval
+            while stop <= t:
+                n_stop += 1
+                stop = min(t0 + n_stop * tau, t_end)
+            planned = {}
+            plan = _plan(t, stop, h_cap) if delayed else []
+            if plan:
+                ds = delays(*np.array(plan).T[..., None]).ravel()  # t, h as columns
+                # the delayed instants ascend; the first step may read past t,
+                # as no other step is stored before it is attempted
+                plan = plan[:max(1, ds.searchsorted(t, "right") // 5)]
+                try:
+                    batch = lookup(ds[:5 * len(plan)])
+                    planned = {pair: batch[5 * j: 5 * j + 5] for j, pair in enumerate(plan)}
+                except dom:
+                    pass
 
         h, h_floor, t_new = _clip(t, min(h, h_cap), stop)
         if h < h_floor:
@@ -409,7 +411,7 @@ def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given) -> Trajecto
             if delayed:
                 rows = planned.get((t, h))
                 if rows is None:
-                    rows = lookup(delay(t + _C[1:6] * h))
+                    rows = lookup(delays(t, h))
             for i in range(1, 7):
                 np.dot(_A[i], k[:i], out=dy)
                 dy *= h
@@ -486,17 +488,17 @@ def integrate_dde(f, y0, tau: float, t_span,
 
     lag_map : maps the (m, dim) array of delayed states that one lookup
         reads to a sequence of m rows, and f receives row j in place of
-        y(t_j - tau). Each lag interval makes one lookup over its start
-        and the five distinct stage instants of every step it would take
-        at the step cap h = min(h_max, tau): m = 1 + 5 * ceil(tau / h),
-        26 on the stock ring (tau 0.5 s, h_max 0.1 s), or fewer when a
-        delayed instant rounds past the interval's start. A step off that
-        plan makes one lookup over its own m = 5 instants. Work that
-        depends on the delayed state alone thus runs on whole batches, not
-        once per stage. The default passes the states as they are, so f
-        receives y(t - tau) itself. A domain_error that lag_map raises
-        hits the step whose own lookup reads the offending state, as if f
-        raised it.
+        y(t_j - tau). Each lag interval makes one lookup over the five
+        distinct stage instants of every step it would take at the step
+        cap h = min(h_max, tau): m = 5 * ceil(tau / h), 25 on the stock
+        ring (tau 0.5 s, h_max 0.1 s), or fewer when a delayed instant
+        rounds past the interval's start. A step off that plan makes one
+        lookup over its own m = 5 instants; the derivative at t0 and the
+        initial-step probe make one of m = 1 each. Work that depends on the
+        delayed state alone thus runs on whole batches, not once per stage.
+        The default passes the states as they are, so f receives
+        y(t - tau) itself. A domain_error that lag_map raises hits the step
+        whose own lookup reads the offending state, as if f raised it.
     """
     if not 0 < tau < math.inf:
         raise ValueError("tau must be positive and finite; "

@@ -866,3 +866,12 @@ class TestCompare:
     def test_unknown_preset_rejected(self, capsys):
         assert run_cli("compare", "--presets", "idm,warp") == cli.EXIT_CONFIG
         assert "compare.presets" in capsys.readouterr().err
+
+    def test_repeated_preset_rejected(self, tmp_path, capsys):
+        # a preset runs into its own directory: run twice, the second run
+        # would delete the first one's files and repeat its row
+        out = tmp_path / "cmp"
+        code = run_cli("compare", "--presets", "idm,idm", "--t-end", "5", "-o", str(out))
+        assert code == cli.EXIT_CONFIG
+        assert "config error: compare.presets: " in capsys.readouterr().err
+        assert not out.exists()

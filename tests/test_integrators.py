@@ -403,18 +403,18 @@ class TestDde:
         ramp = int(np.count_nonzero(traj.times[1:] <= 0.5))
         assert ramp == 8
         assert np.allclose(traj._h[ramp:-1], 0.1, rtol=1e-12, atol=0.0)
-        # one lookup per interval, over its start and the five stage
-        # instants of each planned step; one per off-plan step; one for the
-        # probe that picks the initial step size
-        assert Counter(lookups) == {(26,): intervals, (5,): ramp, (1,): 1}
+        # one lookup per interval, over the five stage instants of each
+        # planned step; one per off-plan step; one for the start derivative
+        # at t0 and one for the probe that picks the initial step size
+        assert Counter(lookups) == {(25,): intervals, (5,): ramp, (1,): 2}
         # the map sees each lookup's whole batch once
-        assert Counter(maps) == {(26, 20): intervals, (5, 20): ramp, (1, 20): 1}
+        assert Counter(maps) == {(25, 20): intervals, (5, 20): ramp, (1, 20): 2}
 
     def test_off_plan_steps_match_per_stage_lookups(self, monkeypatch):
         # from 1.5 s to about 9 s the tolerance, not the cap, sets the step,
         # and the steps leave their interval's plan. In 41 of the 200
         # intervals the last planned step's delayed instant rounds past the
-        # interval's start, so the plan ends a step early (11 instants).
+        # interval's start, so the plan ends a step early (10 instants).
         # The oracle plans nothing and reads every stage's delayed state
         # alone.
         cfg = IntegratorConfig(rel_tol=1e-9, abs_tol=1e-12, h_max=0.1)
@@ -428,7 +428,7 @@ class TestDde:
         with monkeypatch.context() as m:
             m.setattr(integrators, "_dense", counted_dense)
             planned = integrate_dde(dde_rhs, [1.0, 0.5], 0.3, (0.0, 60.0), cfg)
-        assert Counter(lookups) == {16: 159, 11: 41, 5: 124, 1: 1}
+        assert Counter(lookups) == {15: 159, 10: 41, 5: 114, 1: 2}
         monkeypatch.setattr(integrators, "_plan", lambda t, t_end, h_cap: [])
         monkeypatch.setattr(integrators, "_dense", dense_per_instant)
         oracle = integrate_dde(dde_rhs, [1.0, 0.5], 0.3, (0.0, 60.0), cfg)
@@ -452,10 +452,9 @@ class TestDde:
                                0.3, (0.0, 10.0), cfg)
         # 33 intervals of 0.3 s plan three steps at the cap (two in the 3
         # whose last delayed instant rounds past the interval's start), the
-        # last 0.1 s one; the tolerance sets the step, so 105 steps are off
-        # the plan
-        assert Counter(batches) == {(16, 2): 30, (11, 2): 3, (6, 2): 1, (5, 2): 105,
-                                    (1, 2): 1}
+        # last 0.1 s one, whose batch has the 5 rows of an off-plan step; the
+        # tolerance sets the step, so 92 steps are off the plan
+        assert Counter(batches) == {(15, 2): 30, (10, 2): 3, (5, 2): 1 + 92, (1, 2): 2}
         assert np.array_equal(mapped.times, folded.times)
         assert np.array_equal(mapped.states, folded.states)
         assert np.array_equal(mapped._coeffs, folded._coeffs)

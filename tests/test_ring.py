@@ -444,6 +444,24 @@ class TestSimulate:
         x = traj.states[:, 0::2]
         assert np.all(x[:, 1] - x[:, 0] > 0.0)
 
+    @pytest.mark.parametrize("preset, tau", [("mixed", 0.0), ("idm_delayed", 0.03)],
+                             ids=["ode", "short_lag"])
+    def test_six_derivatives_per_attempted_step(self, monkeypatch, preset, tau):
+        # the last stage of a step is the derivative at its end (FSAL), also
+        # at a breakpoint: beyond the six stages of each attempted step, the
+        # derivative is evaluated only at t0 and by the initial-step probe.
+        # At tau 0.03 s each of the 1000 lag intervals is one step.
+        deriv, calls = ring._deriv, []
+
+        def counted_deriv(*args):
+            calls.append(None)
+            return deriv(*args)
+
+        monkeypatch.setattr(ring, "_deriv", counted_deriv)
+        traj = simulate(replace(build_uniform_scenario(preset), tau=tau, t_end=30.0))
+        assert traj.status == "completed" and not traj.events
+        assert len(calls) == 6 * traj.attempts + 2
+
     @pytest.mark.parametrize("tau", [0.1, 0.05])
     def test_delay_not_above_step_cap(self, tau):
         sc = replace(build_uniform_scenario("idm_delayed"), tau=tau, t_end=5.0)
@@ -508,14 +526,14 @@ class TestDelayedBatch:
                                                        rejects):
         sc = replace(build_uniform_scenario("mixed_delayed"), tau=tau, t_end=t_end)
         dense, plan = integrators._dense, integrators._plan
-        lookups, plans = [], []
+        events = []  # the size of each lookup, and None for each _plan call
 
         def counted_dense(*args):
-            lookups.append(np.size(args[-1]))
+            events.append(np.size(args[-1]))
             return dense(*args)
 
         def counted_plan(*args):
-            plans.append(args)
+            events.append(None)
             return plan(*args)
 
         with monkeypatch.context() as m:
@@ -528,11 +546,21 @@ class TestDelayedBatch:
         assert np.array_equal(batched.states, oracle.states)
         assert np.array_equal(batched._coeffs, oracle._coeffs)
         assert np.array_equal(batched._h, oracle._h)
-        attempts, intervals = batched.attempts, len(plans)  # one plan per interval
-        off_plan = lookups.count(5)
+        attempts, intervals = batched.attempts, events.count(None)  # one plan per interval
+        lookups = [e for e in events if e is not None]
+        # the start derivative and the initial-step probe precede the first
+        # plan; each plan is directly followed by its interval's lookup, and
+        # every other lookup is an off-plan step's own
+        first = events.index(None)
+        assert events[:first] == [1, 1]
+        assert None not in [b for a, b in zip(events, events[1:]) if a is None]
+        own = [b for a, b in zip(events[first:], events[first + 1:])
+               if a is not None and b is not None]
+        assert set(own) == {5}
+        off_plan = len(own)
         # some steps leave the plan and some follow it
         assert 0 < off_plan < attempts
-        assert len(lookups) == intervals + off_plan + 1
+        assert len(lookups) == intervals + off_plan + 2
         assert (attempts > batched.times.size - 1) == rejects
 
     def test_idm_law_once_per_lookup(self, monkeypatch):
@@ -552,11 +580,11 @@ class TestDelayedBatch:
         sc = replace(build_uniform_scenario("idm_delayed"), t_end=60.0)
         simulate(sc)
         assert len(laws) == len(lookups)
-        # each of the 120 intervals looks up its start and the five stage
-        # instants of its five planned steps at once; the 8 steps that ramp
-        # up from the initial step size look up their own five, and the
-        # initial-step probe one instant
-        assert Counter(laws) == {(26, 10): 120, (5, 10): 8, (1, 10): 1}
+        # each of the 120 intervals looks up the five stage instants of its
+        # five planned steps at once; the 8 steps that ramp up from the
+        # initial step size look up their own five, and the start
+        # derivative at t0 and the initial-step probe one instant each
+        assert Counter(laws) == {(25, 10): 120, (5, 10): 8, (1, 10): 2}
 
 
 class TestRingSeries:
@@ -647,7 +675,7 @@ class TestMemory:
         # without the cycle collector: the storage goes when the last
         # reference to the full trajectory does, a collision's event included.
         # The returned arrays hold exactly the stored rows, also of a run
-        # that outgrew the storage sized from the step cap (716 steps).
+        # that outgrew the storage sized from the step cap (712 steps).
         collision = case == "collision"
         cfg = None
         if collision:
@@ -663,7 +691,7 @@ class TestMemory:
             rows = traj.times.size
             assert [a.shape[0] for a in (traj.states, traj._coeffs, traj._h)] == [rows] * 3
             if case == "regrown":
-                assert rows == 717
+                assert rows == 713
             storage = weakref.ref(traj._coeffs.base)
             end = traj.final()
             status, events, last = traj.status, traj.events, traj.states[-1].copy()
