@@ -13,25 +13,27 @@ bounds the step: the derivative there is the last step's final stage
 An ODE is the lag-free case, one interval long.
 
 One evaluator reads every state off a trajectory, at a scalar instant or
-at a 1-d array of them: the delayed lookups while integrating,
-:meth:`Trajectory.evaluate` and, through it, the uniform-rate series of
-:func:`ringsim.ring.sample`. The step cap fixes nearly every step of a
-lag interval in advance, so each interval starts with one lookup over the
-five distinct stage instants (the last two stages share t + h) of every
-step it would take if each were accepted at the cap. A step taken as
-planned uses its rows of that batch; any other step (the ramp-up from the
-initial step size, a retry after a rejection, a step that error control
-shortens) looks up its own five instants by the same rule. Each lookup
-passes through the caller's ``lag_map`` once, so work that depends on the
-delayed state alone runs once per lag interval on a run at the cap; the
-ODE path lags nothing. Every step reads the bits it would read by a
-lookup of its own. The stage loop works in buffers allocated once per run.
+at a 1-d array of them: the delayed lookups while integrating, the
+sample instants ``t_eval`` and :meth:`Trajectory.evaluate`. The step cap
+fixes nearly every step of a lag interval in advance, so each interval
+starts with one lookup over the five distinct stage instants (the last
+two stages share t + h) of every step it would take if each were
+accepted at the cap. A step taken as planned uses its rows of that
+batch; any other step (the ramp-up from the initial step size, a retry
+after a rejection, a step that error control shortens) looks up its own
+five instants by the same rule. Each lookup passes through the caller's
+``lag_map`` once, so work that depends on the delayed state alone runs
+once per lag interval on a run at the cap; the ODE path lags nothing.
+Every step reads the bits it would read by a lookup of its own. The
+stage loop works in buffers allocated once per run.
 
 The dense output is stored once, in the Trajectory the solver returns.
 Each accepted step appends its end state and four interpolation
 coefficients per component, about 40 bytes per component, to storage
 sized at the start for the steps the step cap implies, doubled for a run
-that outgrows it, and returned cut to the stored rows, uncopied.
+that outgrows it, and returned cut to the stored rows, uncopied. Given
+``t_eval``, the solver samples as it goes and keeps the coefficients (32
+of the 40 bytes) in a window of fixed size: the last tau of history.
 :meth:`Trajectory.final` keeps only the end of a run, so that the rest
 can be freed once it has been sampled.
 """
@@ -90,6 +92,7 @@ _NO_LAG = (None,) * 5  # the rows of an ODE, which lags nothing
 
 _EPS = np.finfo(float).eps
 _SLACK_ROWS = 16  # rows stored beyond the step cap's count
+_ROWS = 1024  # coefficient rows of a sampled run, sample instants per evaluation
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
 _MAX_FACTOR = 10.0
@@ -167,22 +170,30 @@ class Trajectory:
     being that of the last accepted state.
 
     The solver fills a Trajectory of one instant, t0, as it integrates and
-    reads its delayed states back from it while appending. The arrays
-    start with room for ``rows`` instants and double when they fill. They
-    are allocated uninitialised, so rows past the last written one take
-    address space but no resident memory; the solver cuts the arrays to
-    the stored rows, uncopied, before it returns them. The step row of the
-    last stored instant is a zero step of unit length, written with the
-    instant. ``attempts`` counts the run's attempted steps, accepted and
-    rejected, across all its lag intervals; the step loop holds it to
-    ``max_steps``.
+    reads its delayed states back from it while appending. The arrays start
+    with room for ``rows`` instants and double when they fill. They are
+    allocated uninitialised, so rows past the last written one take address
+    space but no resident memory; the solver cuts the arrays to the stored
+    rows, uncopied, before it returns them. The step row of the last stored
+    instant is a zero step of unit length, written with the instant.
+    ``samples`` holds the state at each instant of ``t_eval`` up to the
+    run's end. When the coefficient window (``_coeffs[0]`` is step row
+    ``_off``) fills, the pending instants before the new one are evaluated,
+    and the rows later reads can land in, from the one holding the new
+    instant less ``reach`` (inf without ``t_eval``), move to its front; it
+    doubles if they fill over half of it. ``attempts`` counts the run's
+    attempted steps, accepted and rejected, across all its lag intervals;
+    the step loop holds it to ``max_steps``.
     """
 
-    def __init__(self, t0: float, y0: np.ndarray, rows: int = 1):
+    def __init__(self, t0: float, y0: np.ndarray, rows: int = 1, t_eval=(), reach=math.inf):
         self.times = np.empty(rows)
         self.states = np.empty((rows, y0.size))
-        self._coeffs = np.empty((rows, y0.size, 4))
         self._h = np.empty(rows)
+        self._t_eval, self._reach = np.asarray(t_eval, dtype=float), reach
+        self.samples = np.empty((self._t_eval.size, y0.size))
+        self._coeffs = np.empty((rows if reach == math.inf else min(rows, _ROWS), y0.size, 4))
+        self._off = self._m = 0  # _m: the instants of t_eval sampled
         self._n = 0
         self.events: list[tuple[float, object]] = []
         self.status = "completed"
@@ -193,21 +204,47 @@ class Trajectory:
         """Write instant n and the zero step that follows it."""
         n = self._n
         if n == self.times.size:
-            for name in ("times", "states", "_coeffs", "_h"):
+            for name in ("times", "states", "_h"):
                 old = getattr(self, name)
                 new = np.empty((2 * n,) + old.shape[1:])
                 new[:n] = old
                 setattr(self, name, new)
+        if n - self._off == len(self._coeffs):
+            self._slide(t)
         self.times[n] = t
         self.states[n] = y
-        self._coeffs[n] = 0.0
+        self._coeffs[n - self._off] = 0.0
         self._h[n] = 1.0
         self._n = n + 1
 
+    def _slide(self, t: float):
+        """Make room in the full coefficient window for the row of instant t."""
+        n, off = self._n, self._off
+        self._sample(t, "left")
+        keep = int(self.times[:n].searchsorted(max(t - self._reach, self.times[0]), "right")) - 1
+        old = self._coeffs
+        if 2 * (n - keep) > len(old):
+            self._coeffs = np.empty((2 * len(old),) + old.shape[1:])
+        self._coeffs[:n - keep] = old[keep - off:n - off]
+        self._off = keep
+
+    def _sample(self, t: float, side: str):
+        """Evaluate the pending instants before t ("left") or through it ("right")."""
+        end = int(self._t_eval.searchsorted(t, side))
+        for i in range(self._m, end, _ROWS):
+            j = min(i + _ROWS, end)
+            self.samples[i:j] = self._read(self._t_eval[i:j])
+        self._m = end
+
+    def _read(self, t) -> np.ndarray:
+        """_dense over the stored instants whose coefficient rows are kept."""
+        off, n = self._off, self._n
+        return _dense(self.times[off:n], self.states[off:n], self._coeffs, self._h[off:n], t)
+
     def append(self, t: float, y: np.ndarray, coeff: np.ndarray, h: float):
+        self._coeffs[self._n - 1 - self._off] = coeff
+        self._h[self._n - 1] = h
         self._store(t, y)
-        self._coeffs[self._n - 2] = coeff
-        self._h[self._n - 2] = h
 
     def _end_on(self, t: float, exc: BaseException):
         """Record the domain error that ends the run at t, without its
@@ -225,28 +262,30 @@ class Trajectory:
         # before the last instant, up to the rounding of t + h - tau (below
         # 16 eps of the instants' magnitude); the zero step past the last
         # instant gives its stored state. A batch is guarded by its latest
-        # instant. Failing here is an internal logic error.
+        # instant, and by its earliest against the dropped coefficient rows.
+        # Failing here is an internal logic error.
         t = np.asarray(t, dtype=float)
         latest = float(t.max())
         t_last = float(self.times[self._n - 1])
         if latest > t_last and latest - t_last > 16 * _EPS * max(abs(self.times[0]), abs(t_last)):
             raise AssertionError(f"lookup at t={latest!r} beyond computed solution")
-        return _dense(self.times[:self._n], self.states, self._coeffs, self._h, t)
+        if float(t.min()) < self.times[self._off]:
+            raise AssertionError(f"lookup at t={float(t.min())!r} before the kept rows")
+        return self._read(t)
 
     def evaluate(self, t) -> np.ndarray:
         """Dense-output state at t, or states at a 1-d array of instants t.
 
-        Every instant must lie within the covered span.
+        Every instant must lie within the covered span, ``times[_off]`` on.
         """
-        times = self.times
+        times, off = self.times, self._off
         t = np.asarray(t, dtype=float)
-        inside = (times[0] <= t) & (t <= times[-1])
+        inside = (times[off] <= t) & (t <= times[-1])
         if not inside.all():
-            raise ValueError(
-                f"t={float(t[~inside][0])!r} outside the trajectory span "
-                f"[{times[0]!r}, {times[-1]!r}]"
-            )
-        return _dense(times, self.states, self._coeffs, self._h, t)
+            span = "the trajectory span" if off == 0 else "the span of the kept rows"
+            raise ValueError(f"t={float(t[~inside][0])!r} outside {span} "
+                             f"[{float(times[off])!r}, {float(times[-1])!r}]")
+        return self._read(t)
 
     def final(self) -> Trajectory:
         """The trajectory cut down to its last accepted instant, with the
@@ -305,7 +344,7 @@ def _rows_as_given(z):
     return z
 
 
-def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given) -> Trajectory:
+def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given, t_eval=None) -> Trajectory:
     """dy/dt = f(t, y, y(t - tau)), with y = y0 before t0, by the method of steps.
 
     f(t, y, z) is the derivative at t given the row z that lag_map makes
@@ -314,7 +353,9 @@ def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given) -> Trajecto
     jump, or exceed tau, so a delayed instant, clamped to t0, always lands
     in completed steps, and t0 reads the stored y0 exactly. An ODE is the
     lag-free case tau = inf: one interval, steps capped at h_max, no
-    delayed state. An empty span evaluates nothing.
+    delayed state. An empty span evaluates nothing. An instant of t_eval
+    is read off its own step row, as off a whole-run store, or the end
+    state; a store too large raises IntegrationError before the first step.
 
     A breakpoint only bounds the step: the derivative is evaluated afresh
     only at t0, and FSAL, the step size and the controller's memory carry
@@ -341,9 +382,16 @@ def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given) -> Trajecto
     # more while the initial step ramps up to the cap; the attempt budget
     # bounds the count.
     steps = math.ceil(min(cfg.max_steps, (t_end - t0) / h_cap))
-    traj = Trajectory(t0, np.asarray(y0, dtype=float),
-                      1 + min(cfg.max_steps, steps + _SLACK_ROWS))
     delayed = tau != math.inf
+    y0 = np.asarray(y0, dtype=float)
+    reach = math.inf if t_eval is None else (tau if delayed else 0.0)
+    t_eval = np.asarray(() if t_eval is None else t_eval, dtype=float)
+    if t_eval.size and (t_eval[0] < t0 or np.any(np.diff(t_eval) < 0)):
+        raise ValueError("t_eval must ascend from t0")
+    try:
+        traj = Trajectory(t0, y0, 1 + min(cfg.max_steps, steps + _SLACK_ROWS), t_eval, reach)
+    except (ValueError, MemoryError) as exc:  # too big for numpy, or for the host
+        raise IntegrationError(f"solution store too large: {exc}", t0) from None
 
     def delays(t, h):  # the delayed instants of the stages t + _C[1:6] * h
         return np.maximum(t + _C[1:6] * h - tau, t0)
@@ -459,13 +507,15 @@ def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given) -> Trajecto
         k[0] = k[6]  # FSAL
         h *= factor
     n = traj._n  # the returned arrays are views of the stored rows, uncopied
-    traj.times, traj.states, traj._coeffs, traj._h = (
-        traj.times[:n], traj.states[:n], traj._coeffs[:n], traj._h[:n])
+    traj._sample(traj.times[n - 1], "right")
+    traj.times, traj.states, traj._coeffs, traj._h, traj.samples = (
+        traj.times[:n], traj.states[:n], traj._coeffs[:n - traj._off], traj._h[:n],
+        traj.samples[:traj._m])
     return traj
 
 
 def integrate_ode(f, y0, t_span, cfg: IntegratorConfig | None = None,
-                  domain_error=()) -> Trajectory:
+                  domain_error=(), *, t_eval=None) -> Trajectory:
     """Integrate dy/dt = f(t, y) over t_span with adaptive RK 5(4).
 
     domain_error : exception type (or tuple) that f may raise for states
@@ -473,18 +523,20 @@ def integrate_ode(f, y0, t_span, cfg: IntegratorConfig | None = None,
         the size. The run ends "terminated", with the last such exception
         as its event, when y0 raises it or the step falls below its floor
         before another step is accepted.
+    t_eval : ascending instants from t0 on, evaluated into ``samples``;
+        only the coefficient rows later reads need are then kept.
     """
-    return _integrate(lambda t, y, _: f(t, y), y0, math.inf, t_span, cfg, domain_error)
+    return _integrate(lambda t, y, _: f(t, y), y0, math.inf, t_span, cfg, domain_error, t_eval=t_eval)
 
 
 def integrate_dde(f, y0, tau: float, t_span,
                   cfg: IntegratorConfig | None = None,
-                  domain_error=(), lag_map=_rows_as_given) -> Trajectory:
+                  domain_error=(), lag_map=_rows_as_given, *, t_eval=None) -> Trajectory:
     """Integrate dy/dt = f(t, y, y(t - tau)), with y = y0 for t <= t0.
 
     The lag tau must be positive and finite. Steps stop at every breakpoint
-    t0 + k*tau and never exceed tau. domain_error is handled as in
-    :func:`integrate_ode`.
+    t0 + k*tau and never exceed tau. domain_error and t_eval are handled
+    as in :func:`integrate_ode`.
 
     lag_map : maps the (m, dim) array of delayed states that one lookup
         reads to a sequence of m rows, and f receives row j in place of
@@ -503,4 +555,4 @@ def integrate_dde(f, y0, tau: float, t_span,
     if not 0 < tau < math.inf:
         raise ValueError("tau must be positive and finite; "
                          "use integrate_ode when there is no lag")
-    return _integrate(f, y0, tau, t_span, cfg, domain_error, lag_map)
+    return _integrate(f, y0, tau, t_span, cfg, domain_error, lag_map, t_eval=t_eval)

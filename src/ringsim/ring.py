@@ -68,7 +68,6 @@ __all__ = [
 ]
 
 PRESET_NAMES = ("idm", "idm_delayed", "mixed", "mixed_delayed")
-_SAMPLE_BLOCK = 4096  # instants per dense evaluation in ``sample``
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -302,8 +301,13 @@ def simulate(scenario: RingScenario,
     perturbation applied (or the explicit z0 override). The delay path is
     taken exactly when tau > 0, with the perturbed initial state held
     constant before t = 0. A collision ends the run "terminated", with its
-    CollisionError as the event.
+    CollisionError as the event. The solver samples the scenario's grid;
+    one too large to allocate is an IntegrationError.
     """
+    try:
+        grid = _grid(0.0, scenario.t_end, scenario.sample_hz)
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise integrators.IntegrationError(f"sample grid too large: {exc}", 0.0) from None
     if z0 is None:
         z0 = apply_perturbation(
             initial_state(scenario), scenario.perturb_amp, scenario.seed
@@ -323,6 +327,7 @@ def simulate(scenario: RingScenario,
             cfg=cfg,
             domain_error=CollisionError,
             lag_map=lambda zd: list(zip(*_delayed_half(zd, fleet))),
+            t_eval=grid,
         )
     return integrators.integrate_ode(
         lambda t, z: _deriv(z, None, fleet),
@@ -330,6 +335,7 @@ def simulate(scenario: RingScenario,
         (0.0, scenario.t_end),
         cfg=cfg,
         domain_error=CollisionError,
+        t_eval=grid,
     )
 
 
@@ -367,25 +373,37 @@ class RingSeries:
         return self._gaps
 
 
-def sample(traj: integrators.Trajectory, scenario: RingScenario) -> RingSeries:
-    """Sample a trajectory's dense output at the scenario rate into a RingSeries.
-
-    The grid starts at the trajectory's first instant and steps by
-    1/sample_hz; the final grid point never exceeds the trajectory end.
-    The grid is evaluated in blocks, each wrapped and clamped straight into
-    the series' arrays, so no temporary is larger than one block.
-    """
-    t0, t1 = float(traj.times[0]), traj.t_end
-    hz = scenario.sample_hz
+def _grid(t0: float, t1: float, hz: float) -> np.ndarray:
+    """The instants from t0 at rate hz; the last one never exceeds t1."""
     n = int(math.floor((t1 - t0) * hz + 1e-9)) + 1
     times = t0 + np.arange(n) / hz
     times[-1] = min(times[-1], t1)
+    return times
+
+
+def sample(traj: integrators.Trajectory, scenario: RingScenario) -> RingSeries:
+    """Sample a trajectory at the scenario rate into a RingSeries.
+
+    The grid starts at the trajectory's first instant and steps by
+    1/sample_hz; the final grid point never exceeds the trajectory end.
+    ``traj.samples``, which ``simulate`` fills on this grid, is wrapped and
+    clamped straight into the series' arrays. An instant it lacks (a
+    terminated run's clamped last one, or any of a trajectory sampled on
+    no or another grid) is evaluated, a block of instants at a time.
+    """
+    times = _grid(float(traj.times[0]), traj.t_end, scenario.sample_hz)
+    n = times.size
+    have = min(len(traj.samples), n)
+    if not np.array_equal(traj._t_eval[:have], times[:have]):
+        have = 0
     positions = np.empty((n, traj.states.shape[1] // 2))
     velocities = np.empty_like(positions)
-    for i in range(0, n, _SAMPLE_BLOCK):
-        z = traj.evaluate(times[i:i + _SAMPLE_BLOCK])
-        np.remainder(z[:, 0::2], scenario.ring_length, out=positions[i:i + _SAMPLE_BLOCK])
-        np.maximum(z[:, 1::2], 0.0, out=velocities[i:i + _SAMPLE_BLOCK])
+    blocks = [(0, have)] + [(i, min(i + integrators._ROWS, n))
+                            for i in range(have, n, integrators._ROWS)]
+    for lo, hi in blocks:
+        z = traj.samples[lo:hi] if hi <= have else traj.evaluate(times[lo:hi])
+        np.remainder(z[:, 0::2], scenario.ring_length, out=positions[lo:hi])
+        np.maximum(z[:, 1::2], 0.0, out=velocities[lo:hi])
         del z  # before the next block is evaluated
     return RingSeries(times, positions, velocities, scenario.ring_length)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ringsim import analysis, cli, ring
+from ringsim import analysis, cli, integrators, ring
 from ringsim.analysis import fundamental_diagram
 from ringsim.integrators import IntegratorConfig
 from ringsim.models import FsParams, IdmParams
@@ -478,6 +478,27 @@ class TestFailureExitCodes:
         assert "solver failure" in capsys.readouterr().err
         manifest = json.loads((out / "manifest.json").read_text())
         assert "error" in manifest
+
+    @pytest.mark.parametrize("config, what", [
+        # 2^62 rows of states, which numpy refuses before allocating any
+        ({"scenario": {"preset": "idm", "t_end": 10},
+          "integrator": {"h_max": 1e-300, "max_steps": 2**62}}, "solution store"),
+        # 1e301 sample instants
+        ({"scenario": {"preset": "idm", "t_end": 10, "sample_hz": 1e300}}, "sample grid"),
+    ], ids=["store", "grid"])
+    def test_unallocatable_run_is_a_solver_failure(self, tmp_path, capsys, monkeypatch,
+                                                   config, what):
+        steps = []
+        monkeypatch.setattr(integrators, "_clip", lambda *a: steps.append(a))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert run_cli("run", "--config", str(path), "-o", str(out)) == cli.EXIT_SOLVER
+        assert f"solver failure: {what} too large" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"].startswith(f"{what} too large")
+        assert os.listdir(out) == ["manifest.json"]
+        assert steps == []  # before the first step
 
 
 # A FollowerStopper vehicle that tracks 20 m/s too slowly to stop behind its

@@ -118,6 +118,32 @@ class TestDenseOutput:
             assert np.array_equal(traj.evaluate(t), expected[-1])
         assert np.array_equal(traj.evaluate(instants), expected)
 
+    @pytest.mark.parametrize("delayed", [False, True])
+    def test_samples_drop_rows_the_reads_are_past(self, delayed):
+        # with t_eval the samples are the whole store's evaluate at each
+        # instant; the rows before the last lag are dropped, and evaluate
+        # names the first kept row's instant for an instant before it
+        cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9, h_max=0.001)
+        grid = np.linspace(0.0, 3.0, 701)
+
+        def run(**kw):
+            if delayed:
+                return integrate_dde(dde_rhs, [1.0], 0.3, (0.0, 3.0), cfg, **kw)
+            return integrate_ode(decay, [1.0], (0.0, 3.0), cfg, **kw)
+
+        whole, traj = run(), run(t_eval=grid)
+        assert np.array_equal(traj.samples, whole.evaluate(grid))
+        first = float(traj.times[traj._off])
+        assert 2.0 < first <= (2.7 if delayed else 3.0)
+        assert np.array_equal(traj.evaluate(first), whole.evaluate(first))
+        with pytest.raises(ValueError, match=f"kept rows \\[{first!r}"):
+            traj.evaluate(np.nextafter(first, 0.0))
+
+    @pytest.mark.parametrize("t_eval", [[-0.5, 0.5], [0.5, 0.25]])
+    def test_t_eval_must_ascend_from_t0(self, t_eval):
+        with pytest.raises(ValueError, match="ascend"):
+            integrate_ode(decay, [1.0], (0.0, 1.0), t_eval=t_eval)
+
     def test_outside_span_rejected(self):
         traj = integrate_ode(decay, [1.0], (0.0, 1.0))
         with pytest.raises(ValueError):
@@ -357,9 +383,10 @@ class TestDde:
             t = float(traj.times[i])
             assert np.array_equal(traj._lookup(t), traj.states[i])
 
-    def test_batched_lookups_match_per_instant(self, monkeypatch):
+    def test_batched_lookups_match_per_instant(self, monkeypatch, keep_whole_store):
         # a step's one lookup over its stage instants gives the bits of one
-        # lookup per instant
+        # lookup per instant, over the whole run
+        keep_whole_store()
         delayed = simulate_delayed_ring()
         monkeypatch.setattr(integrators, "_dense", dense_per_instant)
         oracle = simulate_delayed_ring()
@@ -369,28 +396,33 @@ class TestDde:
         assert np.array_equal(delayed._h, oracle._h)
 
     def test_one_lookup_per_interval_and_off_plan_step(self, monkeypatch):
-        dense, plan = integrators._dense, integrators._plan
+        dense, lookup, plan = integrators._dense, Trajectory._lookup, integrators._plan
         integrate = integrators._integrate
-        lookups, plans, maps = [], [], []
+        evaluations, lookups, plans, maps = [], [], [], []
 
         def counted_dense(*args):
-            lookups.append(np.shape(args[-1]))
+            evaluations.append(np.size(args[-1]))
             return dense(*args)
+
+        def counted_lookup(traj, t):
+            lookups.append(np.shape(t))
+            return lookup(traj, t)
 
         def counted_plan(*args):
             plans.append(args)
             return plan(*args)
 
-        def counted_integrate(*args):
+        def counted_integrate(*args, **kwargs):
             *rest, lag_map = args
 
             def counted_map(z):
                 maps.append(z.shape)
                 return lag_map(z)
 
-            return integrate(*rest, counted_map)
+            return integrate(*rest, counted_map, **kwargs)
 
         monkeypatch.setattr(integrators, "_dense", counted_dense)
+        monkeypatch.setattr(Trajectory, "_lookup", counted_lookup)
         monkeypatch.setattr(integrators, "_plan", counted_plan)
         monkeypatch.setattr(integrators, "_integrate", counted_integrate)
         traj = simulate_delayed_ring()
@@ -409,6 +441,9 @@ class TestDde:
         assert Counter(lookups) == {(25,): intervals, (5,): ramp, (1,): 2}
         # the map sees each lookup's whole batch once
         assert Counter(maps) == {(25, 20): intervals, (5, 20): ramp, (1, 20): 2}
+        # the other evaluations read the 1801 instants of the 30 Hz grid, once each
+        assert len(evaluations) > len(lookups)
+        assert sum(evaluations) - sum(math.prod(s) for s in lookups) == 1801
 
     def test_off_plan_steps_match_per_stage_lookups(self, monkeypatch):
         # from 1.5 s to about 9 s the tolerance, not the cap, sets the step,

@@ -1,5 +1,4 @@
 import gc
-import tracemalloc
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -475,10 +474,11 @@ def simulate_per_stage(monkeypatch, scenario, z0=None):
     1-d delayed state alone, instead of once per step on the batch."""
     dde = integrators.integrate_dde
 
-    def per_stage(f, y0, tau, t_span, cfg=None, domain_error=(), lag_map=None):
+    def per_stage(f, y0, tau, t_span, cfg=None, domain_error=(), lag_map=None, *,
+                  t_eval=None):
         fleet = ring._Fleet(scenario, y0)
         return dde(lambda t, y, zd: f(t, y, ring._delayed_half(zd, fleet)),
-                   y0, tau, t_span, cfg, domain_error)
+                   y0, tau, t_span, cfg, domain_error, t_eval=t_eval)
 
     with monkeypatch.context() as m:
         m.setattr(integrators, "integrate_dde", per_stage)
@@ -488,11 +488,13 @@ def simulate_per_stage(monkeypatch, scenario, z0=None):
 class TestDelayedBatch:
     """The delay path evaluates the IDM law once per lag interval, over the
     delayed states of all the stages of the steps it plans at the cap, and
-    once more for each attempted step off that plan."""
+    once more for each attempted step off that plan. The runs compared
+    step by step keep their whole dense output."""
 
     @pytest.mark.parametrize("preset", ["idm_delayed", "mixed_delayed"])
-    def test_matches_per_stage_evaluation(self, monkeypatch, preset):
+    def test_matches_per_stage_evaluation(self, monkeypatch, preset, keep_whole_store):
         sc = replace(build_uniform_scenario(preset), t_end=60.0)
+        keep_whole_store()
         batched = simulate(sc)
         oracle = simulate_per_stage(monkeypatch, sc)
         assert batched.status == oracle.status == "completed"
@@ -501,10 +503,11 @@ class TestDelayedBatch:
         assert np.array_equal(batched._coeffs, oracle._coeffs)
         assert np.array_equal(batched._h, oracle._h)
 
-    def test_crash_matches_per_stage_evaluation(self, monkeypatch):
+    def test_crash_matches_per_stage_evaluation(self, monkeypatch, keep_whole_store):
         # the collision raises in a stage of a batched step: the run must
         # end at the same step, naming the same vehicle
         sc, z0 = crash_scenario(0.5)
+        keep_whole_store()
         batched = simulate(sc, z0=z0)
         oracle = simulate_per_stage(monkeypatch, sc, z0)
         assert np.array_equal(batched.times, oracle.times)
@@ -523,25 +526,31 @@ class TestDelayedBatch:
         (1.5, 25.0, True),
     ], ids=["short_lag", "rejected"])
     def test_off_plan_steps_match_per_stage_evaluation(self, monkeypatch, tau, t_end,
-                                                       rejects):
+                                                       rejects, keep_whole_store):
         sc = replace(build_uniform_scenario("mixed_delayed"), tau=tau, t_end=t_end)
-        dense, plan = integrators._dense, integrators._plan
-        events = []  # the size of each lookup, and None for each _plan call
+        lookup, plan = integrators.Trajectory._lookup, integrators._plan
+        events = []  # the size of each lag lookup, and None for each _plan call
 
-        def counted_dense(*args):
-            events.append(np.size(args[-1]))
-            return dense(*args)
+        def counted_lookup(traj, t):
+            events.append(np.size(t))
+            return lookup(traj, t)
 
         def counted_plan(*args):
             events.append(None)
             return plan(*args)
 
+        # the lookups of the sampled run, which simulate returns; the sample
+        # instants it evaluates are not lag lookups
         with monkeypatch.context() as m:
-            m.setattr(integrators, "_dense", counted_dense)
+            m.setattr(integrators.Trajectory, "_lookup", counted_lookup)
             m.setattr(integrators, "_plan", counted_plan)
-            batched = simulate(sc)
+            sampled = simulate(sc)
+        keep_whole_store()
+        batched = simulate(sc)
         oracle = simulate_per_stage(monkeypatch, sc)
-        assert batched.status == oracle.status == "completed"
+        assert sampled.status == batched.status == oracle.status == "completed"
+        assert sampled.attempts == batched.attempts
+        assert np.array_equal(sampled.states, batched.states)
         assert np.array_equal(batched.times, oracle.times)
         assert np.array_equal(batched.states, oracle.states)
         assert np.array_equal(batched._coeffs, oracle._coeffs)
@@ -564,19 +573,19 @@ class TestDelayedBatch:
         assert (attempts > batched.times.size - 1) == rejects
 
     def test_idm_law_once_per_lookup(self, monkeypatch):
-        dense = integrators._dense
+        lookup = integrators.Trajectory._lookup
         laws, lookups = [], []
 
         def counted_law(s, v, dv, p):
             laws.append(np.shape(s))
             return idm_accel(s, v, dv, p)
 
-        def counted_dense(*args):
-            lookups.append(np.ndim(args[-1]))
-            return dense(*args)
+        def counted_lookup(traj, t):  # the lag lookups, not the sample instants
+            lookups.append(np.ndim(t))
+            return lookup(traj, t)
 
         monkeypatch.setattr(ring, "idm_accel", counted_law)
-        monkeypatch.setattr(integrators, "_dense", counted_dense)
+        monkeypatch.setattr(integrators.Trajectory, "_lookup", counted_lookup)
         sc = replace(build_uniform_scenario("idm_delayed"), t_end=60.0)
         simulate(sc)
         assert len(laws) == len(lookups)
@@ -621,13 +630,18 @@ class TestRingSeries:
         pos = series.positions
         assert np.array_equal(gaps, (np.roll(pos, 1, axis=1) - pos) % 100.0)
 
-    def test_rows_equal_dense_output(self, monkeypatch):
-        # 1801 instants in blocks of 7, the last one partial
-        monkeypatch.setattr(ring, "_SAMPLE_BLOCK", 7)
+    def test_rows_equal_dense_output(self, monkeypatch, keep_whole_store):
+        # 1801 instants, evaluated by the solver in blocks of 7, the last
+        # one partial, from a coefficient window of 7 rows that drops the
+        # rows no later read needs; the reference is the whole dense output
+        monkeypatch.setattr(integrators, "_ROWS", 7)
         sc = replace(build_uniform_scenario("mixed_delayed"), t_end=60.0)
         traj = simulate(sc)
         series = sample(traj, sc)
-        states = np.array([traj.evaluate(t) for t in series.times])
+        assert traj._off > 0
+        keep_whole_store()
+        whole = simulate(sc)
+        states = np.array([whole.evaluate(t) for t in series.times])
         assert np.array_equal(series.positions, states[:, 0::2] % sc.ring_length)
         assert np.array_equal(series.velocities, np.maximum(states[:, 1::2], 0.0))
 
@@ -642,40 +656,147 @@ class TestRingSeries:
         assert np.max(np.abs(series.positions - series.times[:, None] ** 4)) < 1e-12
 
 
-class TestMemory:
-    def test_simulate_holds_its_dense_output_once(self):
-        # the 22-car, 230 m ring of Sugiyama et al. over 300 s: storage is
-        # sized from the step cap, never regrown, and handed over uncopied
-        sc = RingScenario(ring_length=230.0, controllers=(IdmParams(),) * 22, t_end=300.0)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            traj = simulate(sc)
-            peak = tracemalloc.get_traced_memory()[1] - before
-        finally:
-            tracemalloc.stop()
-        held = sum(a.nbytes for a in (traj.times, traj.states, traj._coeffs, traj._h))
-        assert peak <= 1.25 * held
+class TestSamples:
+    """simulate's samples are the bits of Trajectory.evaluate on a store of
+    the same run's whole dense output, at every instant of the grid."""
 
-    def test_sample_holds_the_series_and_one_block(self, monkeypatch, traced_peak):
-        # 9001 instants in blocks of 512: beyond the series it returns,
-        # sample holds no more than one block's evaluation at a time
-        monkeypatch.setattr(ring, "_SAMPLE_BLOCK", 512)
+    @pytest.mark.parametrize("preset, changes", [
+        ("mixed", {}),
+        ("idm_delayed", {}),
+        # instants off the step grid
+        ("mixed", {"sample_hz": 7.0}),
+        ("idm_delayed", {"sample_hz": 7.0}),
+        # at h_max 0.1 the breakpoints, every 0.5 s, are sample instants
+        ("idm_delayed", {"sample_hz": 10.0}),
+        ("idm_delayed", {"t_end": 0.0}),
+        # error control, not the cap, sets the steps
+        ("mixed_delayed", {"tau": 1.5}),
+    ], ids=["ode", "delay", "ode_7hz", "delay_7hz", "delay_10hz", "t_end_0", "tau_1.5"])
+    def test_samples_equal_whole_store(self, preset, changes, keep_whole_store):
+        sc = replace(build_uniform_scenario(preset), **{"t_end": 150.0, **changes})
+        traj, whole, series = sample_with_whole_store(keep_whole_store, sc)
+        assert traj.status == "completed"
+        assert traj.samples.shape == (series.times.size, 2 * sc.n_vehicles)
+        if sc.t_end > 0:
+            assert traj._off > 0  # the window dropped rows
+        if sc.sample_hz == 10.0:
+            assert np.isin(series.times, traj.times).any()
+
+    @pytest.mark.parametrize("tau", [0.0, 0.5])
+    def test_collision_clamped_last_instant(self, tau, keep_whole_store):
+        # a rate at which the grid's fourth instant lies within 1e-9 of a
+        # sample interval past the collision: it is clamped to the
+        # collision time, which the solver does not sample
+        sc, z0 = crash_scenario(tau)
+        t1 = simulate(sc, z0=z0).t_end
+        hz = 3.0 / t1
+        while 3.0 / hz <= t1:
+            hz = float(np.nextafter(hz, 0.0))
+        sc = replace(sc, sample_hz=hz)
+        traj, _, series = sample_with_whole_store(keep_whole_store, sc, z0)
+        assert traj.status == "terminated"
+        assert series.times.size == 4 and series.times[-1] == t1
+        assert traj.samples.shape[0] == 3
+
+    def test_another_grid_is_evaluated(self, monkeypatch, keep_whole_store):
+        # samples taken on the 30 Hz grid are not the states of a 7 Hz one:
+        # sample evaluates that grid off the coefficient rows, which a
+        # window that has dropped rows no longer covers
+        sc = replace(build_uniform_scenario("idm"), t_end=60.0)
+        other = replace(sc, sample_hz=7.0)
+        traj = simulate(sc)
+        with monkeypatch.context() as m:
+            keep_whole_store(m)
+            whole = simulate(sc)
+        assert traj._off == 0
+        assert np.array_equal(sample(traj, other).velocities, sample(whole, other).velocities)
+        sc = replace(sc, t_end=150.0)
+        with pytest.raises(ValueError, match="outside the span of the kept rows"):
+            sample(simulate(sc), replace(sc, sample_hz=7.0))
+
+
+def sample_with_whole_store(keep_whole_store, sc, z0=None):
+    """simulate and sample sc, and check the series and the solver's samples
+    against evaluate on the whole dense output of the same run."""
+    traj = simulate(sc, z0=z0)
+    series = sample(traj, sc)
+    with pytest.MonkeyPatch.context() as m:
+        keep_whole_store(m)
+        whole = simulate(sc, z0=z0)
+    assert np.array_equal(traj.times, whole.times)
+    assert np.array_equal(traj.states, whole.states)
+    z = whole.evaluate(series.times)
+    assert np.array_equal(traj.samples, z[:traj.samples.shape[0]])
+    assert np.array_equal(series.positions, z[:, 0::2] % sc.ring_length)
+    assert np.array_equal(series.velocities, np.maximum(z[:, 1::2], 0.0))
+    return traj, whole, series
+
+
+def storage(traj):
+    """The arrays a trajectory holds, with the rows past its stored ones."""
+    arrays = (traj.times, traj.states, traj._coeffs, traj._h, traj.samples, traj._t_eval)
+    return [a if a.base is None else a.base for a in arrays]
+
+
+class TestMemory:
+    def test_simulate_holds_its_dense_output_once(self, traced_peak, keep_whole_store):
+        # the 22-car, 230 m ring of Sugiyama et al. over 300 s: storage is
+        # sized from the step cap and the sample grid, never regrown, and
+        # handed over uncopied. Beyond it the run holds at most one block
+        # of sample instants' evaluation, and the window drops rows.
+        sc = RingScenario(ring_length=230.0, controllers=(IdmParams(),) * 22, t_end=300.0)
+        traj, peak = traced_peak(simulate, sc)
+        assert traj.times.base.size == 1 + 3000 + 16
+        assert traj._off > 0
+        block = np.linspace(traj.times[traj._off], traj.t_end, integrators._ROWS)
+        _, block_peak = traced_peak(traj.evaluate, block)
+        held = sum(a.nbytes for a in storage(traj))
+        assert peak <= held + block_peak + 65536
+        # the whole store of the same run holds it once as well
+        keep_whole_store()
+        whole, peak = traced_peak(simulate, sc)
+        assert peak <= 1.25 * sum(a.nbytes for a in storage(whole))
+
+    def test_coefficient_window_does_not_grow_with_the_run(self):
+        # the 22-car ring samples its grid as it goes and keeps a window of
+        # coefficient rows of one size whatever the run length; the states
+        # of every step are kept
+        sizes = []
+        for t_end in (300.0, 1200.0):
+            sc = RingScenario(ring_length=230.0, controllers=(IdmParams(),) * 22,
+                              t_end=t_end)
+            traj = simulate(sc)
+            assert traj.times.size > 10 * t_end
+            sizes.append(traj._coeffs.base.nbytes)
+        assert sizes[0] == sizes[1] == integrators._ROWS * 44 * 4 * 8
+
+    def test_sample_holds_the_series_and_one_block(self, monkeypatch, traced_peak,
+                                                    keep_whole_store):
+        # 9001 instants. The solver has sampled them all, so beyond the
+        # series it returns, sample holds nothing. A trajectory integrated
+        # without sample instants is evaluated in blocks of 512, and beyond
+        # the series sample holds no more than one block's evaluation.
+        monkeypatch.setattr(integrators, "_ROWS", 512)
         sc = replace(build_uniform_scenario("idm"), t_end=300.0)
         traj = simulate(sc)
-        _, block_peak = traced_peak(traj.evaluate, np.arange(512) / sc.sample_hz)
         series, peak = traced_peak(sample, traj, sc)
         held = sum(a.nbytes for a in (series.times, series.positions, series.velocities))
         assert series.times.size == 9001
-        assert peak <= held + block_peak + 4096  # and the loop's views
+        assert peak <= held + 4096  # the loop's views
+        keep_whole_store()
+        whole = simulate(sc)
+        _, block_peak = traced_peak(whole.evaluate, np.arange(512) / sc.sample_hz)
+        series, peak = traced_peak(sample, whole, sc)
+        assert peak <= held + block_peak + 4096
 
     @pytest.mark.parametrize("case", ["completed", "collision", "regrown"])
-    def test_final_frees_the_dense_output(self, case):
+    def test_final_frees_the_dense_output(self, monkeypatch, case, keep_whole_store):
         # without the cycle collector: the storage goes when the last
         # reference to the full trajectory does, a collision's event included.
-        # The returned arrays hold exactly the stored rows, also of a run
-        # that outgrew the storage sized from the step cap (712 steps).
+        # The returned arrays hold exactly the stored rows, and the kept
+        # coefficient rows, also of a run that outgrew the storage sized
+        # from the step cap (712 steps); without sample instants those are
+        # all of its rows.
         collision = case == "collision"
         cfg = None
         if collision:
@@ -689,14 +810,21 @@ class TestMemory:
         try:
             traj = simulate(scenario, cfg, z0=z0)
             rows = traj.times.size
-            assert [a.shape[0] for a in (traj.states, traj._coeffs, traj._h)] == [rows] * 3
+            assert [a.shape[0] for a in (traj.states, traj._h)] == [rows] * 2
+            assert traj._coeffs.shape[0] == rows - traj._off
             if case == "regrown":
                 assert rows == 713
-            storage = weakref.ref(traj._coeffs.base)
+                assert traj.times.base.size > 617 > traj._off > 0
+                with monkeypatch.context() as m:
+                    keep_whole_store(m)
+                    whole = simulate(scenario, cfg, z0=z0)
+                assert whole._coeffs.shape[0] == whole.times.size == rows
+                del whole
+            stored = [weakref.ref(a) for a in storage(traj)]
             end = traj.final()
             status, events, last = traj.status, traj.events, traj.states[-1].copy()
             del traj
-            assert storage() is None
+            assert [ref() for ref in stored] == [None] * len(stored)
         finally:
             gc.enable()
         assert status == ("terminated" if collision else "completed")
