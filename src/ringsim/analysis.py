@@ -420,7 +420,7 @@ def phase_projection(series: RingSeries) -> tuple[np.ndarray, np.ndarray]:
     return series.gaps(), dv
 
 
-def heatmap_grid(series: RingSeries, n_bins: int = 100):
+def heatmap_grid(series: RingSeries, n_bins: int):
     """Mean speed of each occupied (instant, position bin) cell.
 
     Returns (rows, bins, mean_v): the sample index, bin index and mean speed

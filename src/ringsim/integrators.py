@@ -14,7 +14,7 @@ An ODE is the lag-free case, one interval long.
 
 One evaluator reads every state off a trajectory, at a scalar instant or
 at a 1-d array of them: the delayed lookups while integrating, the
-sample instants ``t_eval`` and :meth:`Trajectory.evaluate`. The step cap
+instants of the sample grid and :meth:`Trajectory.evaluate`. The step cap
 fixes nearly every step of a lag interval in advance, so each interval
 starts with one lookup over the five distinct stage instants (the last
 two stages share t + h) of every step it would take if each were
@@ -32,10 +32,10 @@ Each accepted step appends its end state and four interpolation
 coefficients per component, about 40 bytes per component, to storage
 sized at the start for the steps the step cap implies, doubled for a run
 that outgrows it, and returned cut to the stored rows, uncopied. Given
-``t_eval``, the solver samples as it goes and keeps the coefficients (32
-of the 40 bytes) in a window of fixed size: the last tau of history.
-:meth:`Trajectory.final` keeps only the end of a run, so that the rest
-can be freed once it has been sampled.
+``sample_hz``, the solver lays out the sample grid, samples it as it goes
+and keeps the coefficients (32 of the 40 bytes) in a window of fixed
+size: the last tau of history. :meth:`Trajectory.final` keeps only the
+end of a run, so that the rest can be freed once it has been sampled.
 """
 
 from __future__ import annotations
@@ -176,24 +176,27 @@ class Trajectory:
     space but no resident memory; the solver cuts the arrays to the stored
     rows, uncopied, before it returns them. The step row of the last stored
     instant is a zero step of unit length, written with the instant.
-    ``samples`` holds the state at each instant of ``t_eval`` up to the
-    run's end. When the coefficient window (``_coeffs[0]`` is step row
-    ``_off``) fills, the pending instants before the new one are evaluated,
-    and the rows later reads can land in, from the one holding the new
-    instant less ``reach`` (inf without ``t_eval``), move to its front; it
-    doubles if they fill over half of it. ``attempts`` counts the run's
-    attempted steps, accepted and rejected, across all its lag intervals;
-    the step loop holds it to ``max_steps``.
+    ``samples`` holds the state at each instant of ``sample_times``, the
+    grid at ``sample_hz`` (None: no grid) up to the run's end. When the
+    coefficient window (``_coeffs[0]`` is step row ``_off``) fills, the
+    pending instants before the new one are evaluated, and the rows later
+    reads can land in, from the one holding the new instant less ``reach``
+    (inf without a grid), move to its front; it doubles if they fill over
+    half of it. ``attempts`` counts the run's attempted steps, accepted and
+    rejected, across all its lag intervals; the step loop holds it to
+    ``max_steps``.
     """
 
-    def __init__(self, t0: float, y0: np.ndarray, rows: int = 1, t_eval=(), reach=math.inf):
+    def __init__(self, t0: float, y0: np.ndarray, rows: int = 1,
+                 sample_hz: float | None = None, sample_times=(), reach=math.inf):
         self.times = np.empty(rows)
         self.states = np.empty((rows, y0.size))
         self._h = np.empty(rows)
-        self._t_eval, self._reach = np.asarray(t_eval, dtype=float), reach
-        self.samples = np.empty((self._t_eval.size, y0.size))
+        self.sample_hz, self._reach = sample_hz, reach
+        self.sample_times = np.asarray(sample_times, dtype=float)
+        self.samples = np.empty((self.sample_times.size, y0.size))
         self._coeffs = np.empty((rows if reach == math.inf else min(rows, _ROWS), y0.size, 4))
-        self._off = self._m = 0  # _m: the instants of t_eval sampled
+        self._off = self._m = 0  # _m: the instants of sample_times sampled
         self._n = 0
         self.events: list[tuple[float, object]] = []
         self.status = "completed"
@@ -230,10 +233,10 @@ class Trajectory:
 
     def _sample(self, t: float, side: str):
         """Evaluate the pending instants before t ("left") or through it ("right")."""
-        end = int(self._t_eval.searchsorted(t, side))
+        end = int(self.sample_times.searchsorted(t, side))
         for i in range(self._m, end, _ROWS):
             j = min(i + _ROWS, end)
-            self.samples[i:j] = self._read(self._t_eval[i:j])
+            self.samples[i:j] = self._read(self.sample_times[i:j])
         self._m = end
 
     def _read(self, t) -> np.ndarray:
@@ -296,6 +299,18 @@ class Trajectory:
         return end
 
 
+def _grid(t0: float, t1: float, hz: float) -> np.ndarray:
+    """The instants from t0 at rate hz; the last one never exceeds t1."""
+    if not 0 < hz < math.inf:
+        raise ValueError("sample_hz must be positive and finite")
+    try:
+        times = t0 + np.arange(int(math.floor((t1 - t0) * hz + 1e-9)) + 1) / hz
+    except (OverflowError, ValueError, MemoryError) as exc:  # too many instants
+        raise IntegrationError(f"sample grid too large: {exc}", t0) from None
+    times[-1] = min(times[-1], t1)
+    return times
+
+
 def _initial_step(f, t0, y0, f0, rel_tol, abs_tol, h_cap, dom=()):
     """Automatic initial step size from local derivative magnitudes."""
     scale = abs_tol + rel_tol * np.abs(y0)
@@ -344,7 +359,7 @@ def _rows_as_given(z):
     return z
 
 
-def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given, t_eval=None) -> Trajectory:
+def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given, sample_hz=None):
     """dy/dt = f(t, y, y(t - tau)), with y = y0 before t0, by the method of steps.
 
     f(t, y, z) is the derivative at t given the row z that lag_map makes
@@ -353,9 +368,11 @@ def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given, t_eval=None
     jump, or exceed tau, so a delayed instant, clamped to t0, always lands
     in completed steps, and t0 reads the stored y0 exactly. An ODE is the
     lag-free case tau = inf: one interval, steps capped at h_max, no
-    delayed state. An empty span evaluates nothing. An instant of t_eval
-    is read off its own step row, as off a whole-run store, or the end
-    state; a store too large raises IntegrationError before the first step.
+    delayed state. An empty span evaluates nothing. Each instant of the
+    grid at sample_hz is read off its own step row, as off a whole-run
+    store, or the end state; a run that ends before its span samples the
+    grid of its own span. A grid or a store too large raises
+    IntegrationError before the first step.
 
     A breakpoint only bounds the step: the derivative is evaluated afresh
     only at t0, and FSAL, the step size and the controller's memory carry
@@ -384,12 +401,11 @@ def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given, t_eval=None
     steps = math.ceil(min(cfg.max_steps, (t_end - t0) / h_cap))
     delayed = tau != math.inf
     y0 = np.asarray(y0, dtype=float)
-    reach = math.inf if t_eval is None else (tau if delayed else 0.0)
-    t_eval = np.asarray(() if t_eval is None else t_eval, dtype=float)
-    if t_eval.size and (t_eval[0] < t0 or np.any(np.diff(t_eval) < 0)):
-        raise ValueError("t_eval must ascend from t0")
+    reach = math.inf if sample_hz is None else (tau if delayed else 0.0)
+    grid = () if sample_hz is None else _grid(t0, t_end, sample_hz)
     try:
-        traj = Trajectory(t0, y0, 1 + min(cfg.max_steps, steps + _SLACK_ROWS), t_eval, reach)
+        traj = Trajectory(t0, y0, 1 + min(cfg.max_steps, steps + _SLACK_ROWS),
+                          sample_hz, grid, reach)
     except (ValueError, MemoryError) as exc:  # too big for numpy, or for the host
         raise IntegrationError(f"solution store too large: {exc}", t0) from None
 
@@ -506,8 +522,10 @@ def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given, t_eval=None
         ay, ay1 = ay1, ay
         k[0] = k[6]  # FSAL
         h *= factor
+    if traj.status == "terminated" and sample_hz is not None:  # ended before its span
+        traj.sample_times = _grid(t0, t, sample_hz)
+    traj._sample(t, "right")
     n = traj._n  # the returned arrays are views of the stored rows, uncopied
-    traj._sample(traj.times[n - 1], "right")
     traj.times, traj.states, traj._coeffs, traj._h, traj.samples = (
         traj.times[:n], traj.states[:n], traj._coeffs[:n - traj._off], traj._h[:n],
         traj.samples[:traj._m])
@@ -515,7 +533,7 @@ def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given, t_eval=None
 
 
 def integrate_ode(f, y0, t_span, cfg: IntegratorConfig | None = None,
-                  domain_error=(), *, t_eval=None) -> Trajectory:
+                  domain_error=(), *, sample_hz=None) -> Trajectory:
     """Integrate dy/dt = f(t, y) over t_span with adaptive RK 5(4).
 
     domain_error : exception type (or tuple) that f may raise for states
@@ -523,19 +541,21 @@ def integrate_ode(f, y0, t_span, cfg: IntegratorConfig | None = None,
         the size. The run ends "terminated", with the last such exception
         as its event, when y0 raises it or the step falls below its floor
         before another step is accepted.
-    t_eval : ascending instants from t0 on, evaluated into ``samples``;
-        only the coefficient rows later reads need are then kept.
+    sample_hz : positive finite rate of the grid from t0 to the run's end
+        (:func:`_grid`) whose states fill ``samples``; only the coefficient
+        rows later reads need are then kept. None samples nothing.
     """
-    return _integrate(lambda t, y, _: f(t, y), y0, math.inf, t_span, cfg, domain_error, t_eval=t_eval)
+    return _integrate(lambda t, y, _: f(t, y), y0, math.inf, t_span, cfg, domain_error,
+                      sample_hz=sample_hz)
 
 
 def integrate_dde(f, y0, tau: float, t_span,
                   cfg: IntegratorConfig | None = None,
-                  domain_error=(), lag_map=_rows_as_given, *, t_eval=None) -> Trajectory:
+                  domain_error=(), lag_map=_rows_as_given, *, sample_hz=None) -> Trajectory:
     """Integrate dy/dt = f(t, y, y(t - tau)), with y = y0 for t <= t0.
 
     The lag tau must be positive and finite. Steps stop at every breakpoint
-    t0 + k*tau and never exceed tau. domain_error and t_eval are handled
+    t0 + k*tau and never exceed tau. domain_error and sample_hz are handled
     as in :func:`integrate_ode`.
 
     lag_map : maps the (m, dim) array of delayed states that one lookup
@@ -555,4 +575,4 @@ def integrate_dde(f, y0, tau: float, t_span,
     if not 0 < tau < math.inf:
         raise ValueError("tau must be positive and finite; "
                          "use integrate_ode when there is no lag")
-    return _integrate(f, y0, tau, t_span, cfg, domain_error, lag_map, t_eval=t_eval)
+    return _integrate(f, y0, tau, t_span, cfg, domain_error, lag_map, sample_hz=sample_hz)

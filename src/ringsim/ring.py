@@ -28,10 +28,10 @@ at standstill. On the delay path the delayed half runs once per lag
 interval, on the delayed states of all the stages of the steps the solver
 plans at the step cap, and once more for each step off that plan, on its
 own stages; the solver reads each such batch in one lookup. Without delay
-both halves run on the current state at every evaluation. The derivative
-is the one collision check: it raises ``CollisionError`` naming the first
-vehicle whose current gap, or delayed gap if it is an IDM vehicle, is
-nonpositive.
+only the current half runs, with the IDM law on the current state. The
+derivative is the one collision check: it raises ``CollisionError`` naming
+the first vehicle whose current gap, or delayed gap if it is an IDM
+vehicle, is nonpositive.
 """
 
 from __future__ import annotations
@@ -301,13 +301,9 @@ def simulate(scenario: RingScenario,
     perturbation applied (or the explicit z0 override). The delay path is
     taken exactly when tau > 0, with the perturbed initial state held
     constant before t = 0. A collision ends the run "terminated", with its
-    CollisionError as the event. The solver samples the scenario's grid;
-    one too large to allocate is an IntegrationError.
+    CollisionError as the event. The solver samples it at ``sample_hz``;
+    a sample grid too large to allocate is an IntegrationError.
     """
-    try:
-        grid = _grid(0.0, scenario.t_end, scenario.sample_hz)
-    except (OverflowError, ValueError, MemoryError) as exc:
-        raise integrators.IntegrationError(f"sample grid too large: {exc}", 0.0) from None
     if z0 is None:
         z0 = apply_perturbation(
             initial_state(scenario), scenario.perturb_amp, scenario.seed
@@ -327,7 +323,7 @@ def simulate(scenario: RingScenario,
             cfg=cfg,
             domain_error=CollisionError,
             lag_map=lambda zd: list(zip(*_delayed_half(zd, fleet))),
-            t_eval=grid,
+            sample_hz=scenario.sample_hz,
         )
     return integrators.integrate_ode(
         lambda t, z: _deriv(z, None, fleet),
@@ -335,7 +331,7 @@ def simulate(scenario: RingScenario,
         (0.0, scenario.t_end),
         cfg=cfg,
         domain_error=CollisionError,
-        t_eval=grid,
+        sample_hz=scenario.sample_hz,
     )
 
 
@@ -373,39 +369,20 @@ class RingSeries:
         return self._gaps
 
 
-def _grid(t0: float, t1: float, hz: float) -> np.ndarray:
-    """The instants from t0 at rate hz; the last one never exceeds t1."""
-    n = int(math.floor((t1 - t0) * hz + 1e-9)) + 1
-    times = t0 + np.arange(n) / hz
-    times[-1] = min(times[-1], t1)
-    return times
-
-
 def sample(traj: integrators.Trajectory, scenario: RingScenario) -> RingSeries:
-    """Sample a trajectory at the scenario rate into a RingSeries.
+    """The series of a trajectory the solver sampled at the scenario rate.
 
-    The grid starts at the trajectory's first instant and steps by
-    1/sample_hz; the final grid point never exceeds the trajectory end.
-    ``traj.samples``, which ``simulate`` fills on this grid, is wrapped and
-    clamped straight into the series' arrays. An instant it lacks (a
-    terminated run's clamped last one, or any of a trajectory sampled on
-    no or another grid) is evaluated, a block of instants at a time.
+    The series' instants are ``traj.sample_times``, from the trajectory's
+    first instant at 1/sample_hz apart, the last never past its end, and
+    ``traj.samples`` is wrapped and clamped into its arrays. A trajectory
+    sampled at another rate, or not sampled, raises ValueError.
     """
-    times = _grid(float(traj.times[0]), traj.t_end, scenario.sample_hz)
-    n = times.size
-    have = min(len(traj.samples), n)
-    if not np.array_equal(traj._t_eval[:have], times[:have]):
-        have = 0
-    positions = np.empty((n, traj.states.shape[1] // 2))
-    velocities = np.empty_like(positions)
-    blocks = [(0, have)] + [(i, min(i + integrators._ROWS, n))
-                            for i in range(have, n, integrators._ROWS)]
-    for lo, hi in blocks:
-        z = traj.samples[lo:hi] if hi <= have else traj.evaluate(times[lo:hi])
-        np.remainder(z[:, 0::2], scenario.ring_length, out=positions[lo:hi])
-        np.maximum(z[:, 1::2], 0.0, out=velocities[lo:hi])
-        del z  # before the next block is evaluated
-    return RingSeries(times, positions, velocities, scenario.ring_length)
+    if traj.sample_hz != scenario.sample_hz:
+        raise ValueError(f"the trajectory is sampled at {traj.sample_hz} Hz, "
+                         f"not at the scenario's {scenario.sample_hz} Hz")
+    z = traj.samples
+    return RingSeries(traj.sample_times, np.remainder(z[:, 0::2], scenario.ring_length),
+                      np.maximum(z[:, 1::2], 0.0), scenario.ring_length)
 
 
 def equilibrium_scenario(preset: str = "idm", seed: int = 1) -> RingScenario:

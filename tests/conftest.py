@@ -26,13 +26,13 @@ def traced_peak():
 
 @pytest.fixture
 def keep_whole_store(monkeypatch):
-    """A function that makes the solver take no sample instants, so that
+    """A function that makes the solver sample nothing, so that
     ring.simulate's trajectory keeps every coefficient row of the run, as
-    one integrated without t_eval does. It patches through the monkeypatch
-    context it is given, or the test's own monkeypatch."""
+    one integrated without sample_hz does. It patches through the
+    monkeypatch context it is given, or the test's own monkeypatch."""
     from ringsim import integrators
 
     def patch(m=monkeypatch):
         integrate = integrators._integrate
-        m.setattr(integrators, "_integrate", lambda *args, t_eval=None: integrate(*args))
+        m.setattr(integrators, "_integrate", lambda *args, sample_hz=None: integrate(*args))
     return patch

@@ -439,8 +439,8 @@ class TestHeatmap:
         series = uniform_series(n_t=2000)
         first = RingSeries(series.times[:64], series.positions[:64],
                            series.velocities[:64], series.ring_length)
-        _, block_peak = traced_peak(heatmap_grid, first)
-        (rows, bins, mean_v), peak = traced_peak(heatmap_grid, series)
+        _, block_peak = traced_peak(heatmap_grid, first, 100)
+        (rows, bins, mean_v), peak = traced_peak(heatmap_grid, series, 100)
         assert rows.size == series.velocities.size
         assert peak <= rows.nbytes + bins.nbytes + mean_v.nbytes + block_peak
 

@@ -768,7 +768,8 @@ class TestTableWriters:
         n = series.velocities.size
         assert not [c for c in columns if c == (object, n)]
         # the heatmap's three outputs, one entry per vehicle per instant here
-        _, heatmap_peak = traced_peak(analysis.heatmap_grid, series)
+        _, heatmap_peak = traced_peak(analysis.heatmap_grid, series,
+                                       cfg.outputs.heatmap_bins)
         _, cells_peak = traced_peak(cli._cells, cli.FLOAT_FMT, series.times)
         assert peak <= heatmap_peak + cells_peak + (1 << 16)
 

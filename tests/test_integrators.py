@@ -120,18 +120,21 @@ class TestDenseOutput:
 
     @pytest.mark.parametrize("delayed", [False, True])
     def test_samples_drop_rows_the_reads_are_past(self, delayed):
-        # with t_eval the samples are the whole store's evaluate at each
-        # instant; the rows before the last lag are dropped, and evaluate
-        # names the first kept row's instant for an instant before it
+        # with sample_hz the samples are the whole store's evaluate at each
+        # instant of the grid; the rows before the last lag are dropped, and
+        # evaluate names the first kept row's instant for an instant before it
         cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9, h_max=0.001)
-        grid = np.linspace(0.0, 3.0, 701)
 
         def run(**kw):
             if delayed:
                 return integrate_dde(dde_rhs, [1.0], 0.3, (0.0, 3.0), cfg, **kw)
             return integrate_ode(decay, [1.0], (0.0, 3.0), cfg, **kw)
 
-        whole, traj = run(), run(t_eval=grid)
+        whole, traj = run(), run(sample_hz=700 / 3)
+        grid = traj.sample_times
+        assert traj.sample_hz == 700 / 3 and whole.sample_hz is None
+        assert grid.size == 701 and grid[-1] == 3.0
+        assert np.array_equal(grid[:-1], np.arange(700) / (700 / 3))
         assert np.array_equal(traj.samples, whole.evaluate(grid))
         first = float(traj.times[traj._off])
         assert 2.0 < first <= (2.7 if delayed else 3.0)
@@ -139,10 +142,13 @@ class TestDenseOutput:
         with pytest.raises(ValueError, match=f"kept rows \\[{first!r}"):
             traj.evaluate(np.nextafter(first, 0.0))
 
-    @pytest.mark.parametrize("t_eval", [[-0.5, 0.5], [0.5, 0.25]])
-    def test_t_eval_must_ascend_from_t0(self, t_eval):
-        with pytest.raises(ValueError, match="ascend"):
-            integrate_ode(decay, [1.0], (0.0, 1.0), t_eval=t_eval)
+    @pytest.mark.parametrize("sample_hz", [0.0, -1.0, math.inf, math.nan],
+                             ids=["zero", "negative", "inf", "nan"])
+    def test_sample_hz_must_be_positive_and_finite(self, sample_hz):
+        with pytest.raises(ValueError, match="sample_hz must be positive and finite"):
+            integrate_ode(decay, [1.0], (0.0, 1.0), sample_hz=sample_hz)
+        with pytest.raises(ValueError, match="sample_hz must be positive and finite"):
+            integrate_dde(dde_rhs, [1.0], 0.3, (0.0, 1.0), sample_hz=sample_hz)
 
     def test_outside_span_rejected(self):
         traj = integrate_ode(decay, [1.0], (0.0, 1.0))

@@ -417,17 +417,23 @@ class TestSimulate:
     @pytest.mark.parametrize("lap", [0.0, 100.0])
     def test_coincident_start_terminates_at_t0(self, lap):
         # vehicle 1 on top of its leader, vehicle 0: at the same position,
-        # and one lap on, across the wrap point
-        sc = build_uniform_scenario("idm")
-        z0 = initial_state(sc)
-        z0[2] = z0[0] + lap
-        traj = simulate(sc, z0=z0)
-        assert traj.status == "terminated"
-        assert traj.times.shape == (1,)
-        ((t_ev, exc),) = traj.events
-        assert t_ev == 0.0
-        assert isinstance(exc, CollisionError)
-        assert exc.vehicle == 1
+        # and one lap on, across the wrap point. The run ends at t0, with
+        # and without delay, and its series is the start state alone
+        for tau in (0.0, 0.5):
+            sc = replace(build_uniform_scenario("idm"), tau=tau)
+            z0 = initial_state(sc)
+            z0[2] = z0[0] + lap
+            traj = simulate(sc, z0=z0)
+            assert traj.status == "terminated"
+            assert traj.times.shape == (1,)
+            ((t_ev, exc),) = traj.events
+            assert t_ev == 0.0
+            assert isinstance(exc, CollisionError)
+            assert exc.vehicle == 1
+            series = sample(traj, sc)
+            assert np.array_equal(series.times, [0.0])
+            assert np.array_equal(series.positions, [z0[0::2] % sc.ring_length])
+            assert np.array_equal(series.velocities, [np.maximum(z0[1::2], 0.0)])
 
     @pytest.mark.parametrize("tau", [0.0, 0.5])
     def test_follower_stopper_crash_terminates(self, tau):
@@ -475,10 +481,10 @@ def simulate_per_stage(monkeypatch, scenario, z0=None):
     dde = integrators.integrate_dde
 
     def per_stage(f, y0, tau, t_span, cfg=None, domain_error=(), lag_map=None, *,
-                  t_eval=None):
+                  sample_hz=None):
         fleet = ring._Fleet(scenario, y0)
         return dde(lambda t, y, zd: f(t, y, ring._delayed_half(zd, fleet)),
-                   y0, tau, t_span, cfg, domain_error, t_eval=t_eval)
+                   y0, tau, t_span, cfg, domain_error, sample_hz=sample_hz)
 
     with monkeypatch.context() as m:
         m.setattr(integrators, "integrate_dde", per_stage)
@@ -651,7 +657,7 @@ class TestRingSeries:
         sc = RingScenario(ring_length=100.0, controllers=(IdmParams(),) * 2,
                           t_end=2.0, sample_hz=30.0)
         traj = integrate_ode(lambda t, y: np.array([4 * t**3, 0.0] * 2),
-                             np.zeros(4), (0.0, sc.t_end))
+                             np.zeros(4), (0.0, sc.t_end), sample_hz=sc.sample_hz)
         series = sample(traj, sc)
         assert np.max(np.abs(series.positions - series.times[:, None] ** 4)) < 1e-12
 
@@ -685,8 +691,8 @@ class TestSamples:
     @pytest.mark.parametrize("tau", [0.0, 0.5])
     def test_collision_clamped_last_instant(self, tau, keep_whole_store):
         # a rate at which the grid's fourth instant lies within 1e-9 of a
-        # sample interval past the collision: it is clamped to the
-        # collision time, which the solver does not sample
+        # sample interval past the collision: the solver lays the grid out
+        # again up to the collision and samples that instant clamped onto it
         sc, z0 = crash_scenario(tau)
         t1 = simulate(sc, z0=z0).t_end
         hz = 3.0 / t1
@@ -696,23 +702,22 @@ class TestSamples:
         traj, _, series = sample_with_whole_store(keep_whole_store, sc, z0)
         assert traj.status == "terminated"
         assert series.times.size == 4 and series.times[-1] == t1
-        assert traj.samples.shape[0] == 3
+        assert traj.samples.shape[0] == 4
+        assert np.array_equal(traj.sample_times, series.times)
 
-    def test_another_grid_is_evaluated(self, monkeypatch, keep_whole_store):
-        # samples taken on the 30 Hz grid are not the states of a 7 Hz one:
-        # sample evaluates that grid off the coefficient rows, which a
-        # window that has dropped rows no longer covers
-        sc = replace(build_uniform_scenario("idm"), t_end=60.0)
-        other = replace(sc, sample_hz=7.0)
+    def test_another_rate_is_rejected(self, keep_whole_store):
+        # samples taken at 30 Hz are not the states of a 7 Hz grid, and a
+        # trajectory integrated without a rate holds no samples at all
+        sc = replace(build_uniform_scenario("idm"), t_end=10.0)
         traj = simulate(sc)
-        with monkeypatch.context() as m:
-            keep_whole_store(m)
-            whole = simulate(sc)
-        assert traj._off == 0
-        assert np.array_equal(sample(traj, other).velocities, sample(whole, other).velocities)
-        sc = replace(sc, t_end=150.0)
-        with pytest.raises(ValueError, match="outside the span of the kept rows"):
-            sample(simulate(sc), replace(sc, sample_hz=7.0))
+        assert traj.sample_hz == 30.0
+        with pytest.raises(ValueError, match="sampled at 30.0 Hz, not at the scenario's 7.0 Hz"):
+            sample(traj, replace(sc, sample_hz=7.0))
+        keep_whole_store()
+        whole = simulate(sc)
+        assert whole.sample_hz is None and whole.samples.shape == (0, 2 * sc.n_vehicles)
+        with pytest.raises(ValueError, match="sampled at None Hz"):
+            sample(whole, sc)
 
 
 def sample_with_whole_store(keep_whole_store, sc, z0=None):
@@ -726,7 +731,7 @@ def sample_with_whole_store(keep_whole_store, sc, z0=None):
     assert np.array_equal(traj.times, whole.times)
     assert np.array_equal(traj.states, whole.states)
     z = whole.evaluate(series.times)
-    assert np.array_equal(traj.samples, z[:traj.samples.shape[0]])
+    assert np.array_equal(traj.samples, z)
     assert np.array_equal(series.positions, z[:, 0::2] % sc.ring_length)
     assert np.array_equal(series.velocities, np.maximum(z[:, 1::2], 0.0))
     return traj, whole, series
@@ -734,7 +739,7 @@ def sample_with_whole_store(keep_whole_store, sc, z0=None):
 
 def storage(traj):
     """The arrays a trajectory holds, with the rows past its stored ones."""
-    arrays = (traj.times, traj.states, traj._coeffs, traj._h, traj.samples, traj._t_eval)
+    arrays = (traj.times, traj.states, traj._coeffs, traj._h, traj.samples, traj.sample_times)
     return [a if a.base is None else a.base for a in arrays]
 
 
@@ -770,24 +775,15 @@ class TestMemory:
             sizes.append(traj._coeffs.base.nbytes)
         assert sizes[0] == sizes[1] == integrators._ROWS * 44 * 4 * 8
 
-    def test_sample_holds_the_series_and_one_block(self, monkeypatch, traced_peak,
-                                                    keep_whole_store):
-        # 9001 instants. The solver has sampled them all, so beyond the
-        # series it returns, sample holds nothing. A trajectory integrated
-        # without sample instants is evaluated in blocks of 512, and beyond
-        # the series sample holds no more than one block's evaluation.
-        monkeypatch.setattr(integrators, "_ROWS", 512)
+    def test_sample_holds_the_series_and_one_block(self, traced_peak):
+        # 9001 instants. The solver has sampled them all, a block at a time
+        # (see test_simulate_holds_its_dense_output_once), so beyond the
+        # series it returns, sample holds nothing.
         sc = replace(build_uniform_scenario("idm"), t_end=300.0)
         traj = simulate(sc)
         series, peak = traced_peak(sample, traj, sc)
-        held = sum(a.nbytes for a in (series.times, series.positions, series.velocities))
-        assert series.times.size == 9001
-        assert peak <= held + 4096  # the loop's views
-        keep_whole_store()
-        whole = simulate(sc)
-        _, block_peak = traced_peak(whole.evaluate, np.arange(512) / sc.sample_hz)
-        series, peak = traced_peak(sample, whole, sc)
-        assert peak <= held + block_peak + 4096
+        assert series.times is traj.sample_times and series.times.size == 9001
+        assert peak <= series.positions.nbytes + series.velocities.nbytes + 4096
 
     @pytest.mark.parametrize("case", ["completed", "collision", "regrown"])
     def test_final_frees_the_dense_output(self, monkeypatch, case, keep_whole_store):
