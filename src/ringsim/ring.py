@@ -37,6 +37,7 @@ vehicle, is nonpositive.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -79,8 +80,9 @@ class RingScenario:
         ordered so that vehicle i follows vehicle i-1
     tau : reaction delay applied to IDM inputs only (s, 0 disables)
     v_init : nominal initial speed of every vehicle (m/s)
-    perturb_amp : half-width of the uniform velocity perturbation (m/s)
-    seed : perturbation RNG seed (nonnegative)
+    perturb_amp : half-width of the uniform velocity perturbation (m/s);
+        its range 2 * perturb_amp must be finite
+    seed : seed of the perturbation's stream (nonnegative; see apply_perturbation)
     t_end : simulated duration (s)
     sample_hz : uniform output sampling rate (Hz)
     """
@@ -102,6 +104,9 @@ class RingScenario:
         for name in ("ring_length", "tau", "v_init", "perturb_amp", "t_end", "sample_hz"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
+        if not math.isfinite(2 * self.perturb_amp):
+            raise ValueError("perturb_amp too large: the perturbation's range "
+                             "2 * perturb_amp must be finite")
         if not self.ring_length > 0:
             raise ValueError("ring_length must be positive")
         s0_max = max(
@@ -152,18 +157,96 @@ def initial_state(scenario: RingScenario) -> np.ndarray:
     return z
 
 
+# numpy's SeedSequence and O'Neill's PCG64 (HMC-CS-2014-0905), on Python
+# integers: the 32-bit hash constants of the one and the 128-bit LCG
+# multiplier of the other.
+_M32, _M64, _M128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(h: int, mult: int):
+    """SeedSequence's 32-bit hash of one word, whose constant h steps by mult
+    at every call."""
+    def hashmix(value: int) -> int:
+        nonlocal h
+        value ^= h
+        h = h * mult & _M32
+        value = value * h & _M32
+        return value ^ value >> 16
+    return hashmix
+
+
+def _seed_state(seed: int) -> tuple[int, int]:
+    """PCG64's 128-bit initial state and stream for an int seed >= 0: the
+    four words of ``SeedSequence(seed).generate_state(4, np.uint64)``."""
+    entropy = [seed >> k & _M32 for k in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hasher(_INIT_A, _MULT_A)
+
+    def mix(x: int, y: int) -> int:
+        r = (_MIX_L * x - _MIX_R * y) & _M32
+        return r ^ r >> 16
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out = _hasher(_INIT_B, _MULT_B)
+    words = [out(pool[i % 4]) for i in range(8)]
+    # each uint64 is two uint32 words, the low one first
+    w = [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
+    return w[0] << 64 | w[1], w[2] << 64 | w[3]
+
+
+def _uniform(seed: int, low: float, high: float, n: int) -> list[float]:
+    """numpy's ``default_rng(seed).uniform(low, high, n)``, bit for bit.
+
+    numpy fixes the PCG64 bit stream across versions (NEP 19) but not the
+    values of Generator methods; this port fixes both, and imports none of
+    numpy's random module, which would load secrets, hashlib and OpenSSL.
+    Raises OverflowError when high - low is not finite, as numpy does.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    low, high = float(low), float(high)
+    span = high - low
+    if not math.isfinite(span):
+        raise OverflowError("high - low range exceeds valid bounds")
+    initstate, initseq = _seed_state(seed)
+    inc = (initseq << 1 | 1) & _M128
+    # seeding: a step from state 0 (which gives inc), add initstate, a step
+    state = ((inc + initstate) * _PCG_MULT + inc) & _M128
+    out = []
+    for _ in range(n):
+        state = (state * _PCG_MULT + inc) & _M128
+        # XSL-RR: the xor of the halves, rotated right by the top 6 bits
+        x, rot = (state >> 64 ^ state) & _M64, state >> 122
+        x = (x >> rot | x << (64 - rot)) & _M64
+        out.append(low + span * ((x >> 11) * 2.0**-53))
+    return out
+
+
 def apply_perturbation(z: np.ndarray, amp: float, seed: int) -> np.ndarray:
     """Add i.i.d. uniform[-amp, amp] offsets to the velocity slots.
 
-    Positions are untouched, resulting velocities are clamped at zero, and
-    the result is a deterministic function of (z, amp, seed).
+    The offsets are numpy's ``default_rng(seed).uniform(-amp, amp, n)``,
+    reproduced in the package (``_uniform``) so that neither the numpy
+    version nor an import of numpy's random module enters a run. Positions are
+    untouched, resulting velocities are clamped at zero, and the result is
+    a deterministic function of (z, amp, seed). seed is a nonnegative
+    integer, numpy's included; a negative seed or amp raises ValueError,
+    and an amp whose range 2 * amp overflows raises OverflowError.
     """
     if amp < 0:
         raise ValueError("perturbation amplitude must be nonnegative")
     out = z.copy()
-    rng = np.random.default_rng(seed)
-    offsets = rng.uniform(-amp, amp, z.size // 2)
-    out[1::2] = np.maximum(out[1::2] + offsets, 0.0)
+    out[1::2] = np.maximum(out[1::2] + _uniform(seed, -amp, amp, z.size // 2), 0.0)
     return out
 
 

@@ -3,6 +3,8 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -324,6 +326,8 @@ class TestConfigErrors:
         # read before integrating, not when the heatmap's cell index overflows
         ({"scenario": _IDM, "outputs": {"heatmap_bins": 10**18}},
          "outputs: heatmap_bins must be at most 2251799813685247"),
+        # finite, but its range 2 * perturb_amp is not: rejected before the run
+        ({"scenario": {**_IDM, "perturb_amp": 1e308}}, "scenario: perturb_amp too large"),
     ])
     def test_rejected_value_names_field(self, tmp_path, capsys, cfg, field):
         path = tmp_path / "bad.json"
@@ -676,6 +680,27 @@ class TestRunWork:
             old = float(copied.std(axis=1).max())
             stats = cli.compute_stats(cfg, traj.final(), series, fleet)
             assert repr(stats["final_v_std_m_per_s"]) == repr(old) != "0.0", window
+
+    def test_a_run_loads_no_rng_hash_or_masked_array_module(self, tmp_path):
+        # numpy.random would bring secrets, hashlib and OpenSSL, and
+        # np.median numpy.ma: megabytes of a run's peak that no step uses.
+        # A fresh interpreter, since the test session has them loaded.
+        code = f"""if True:
+            import sys
+            from ringsim import cli
+            for i, cfg in enumerate([
+                    {{"scenario": {{"preset": "idm_delayed", "t_end": 10}}}},
+                    {{"scenario": {{"preset": "mixed", "t_end": 10}}}}]):
+                code, _ = cli.run_one(cli.config_from_dict(cfg), {str(tmp_path)!r} + str(i))
+                assert code == 0, code
+            print(sorted(m for m in ("numpy.random", "secrets", "hashlib", "numpy.ma")
+                         if m in sys.modules))
+            """
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, timeout=120, check=True).stdout
+        assert out == "[]\n"
 
 
 def assert_no_child_left():

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ringsim import integrators, ring
 from ringsim.integrators import IntegratorConfig, integrate_ode
@@ -121,6 +123,36 @@ class TestPerturbation:
         z = apply_perturbation(initial_state(sc), 1e-3, 7)
         assert np.all(z[1::2] >= 0.0)
         assert np.all(z[1::2] <= 1e-3)
+
+    # numpy integers, and seeds of one to seven 32-bit words: SeedSequence
+    # mixes words past its pool of four in a loop of their own
+    @given(seed=st.integers(0, 2**210) | st.integers(0, 2**64 - 1).map(np.uint64)
+           | st.integers(0, 2**63 - 1).map(np.int64),
+           amp=st.sampled_from([0.0, 5e-324, 1e-3, 1e300]), n=st.integers(2, 64))
+    @settings(max_examples=300, deadline=None)
+    def test_offsets_are_numpys_uniform_stream(self, seed, amp, n):
+        want = np.random.default_rng(seed).uniform(-amp, amp, n)
+        assert np.array(ring._uniform(seed, -amp, amp, n)).tobytes() == want.tobytes()
+
+    def test_seed_1_offsets_are_fixed(self):
+        # the stock start, fixed in the package whatever numpy's Generator does
+        z = initial_state(build_uniform_scenario("idm"))
+        assert apply_perturbation(z, 1e-3, 1)[1:8:2].tolist() == [
+            5.0000236432494, 5.000900927392652, 4.999288319225439, 5.000897298894275]
+        assert ring._uniform(1, -1e-3, 1e-3, 4) == [
+            2.3643249400513537e-05, 0.0009009273926518706,
+            -0.0007116807745607325, 0.0008972988942744877]
+
+    def test_rejected_seed_and_amplitude(self):
+        z = initial_state(build_uniform_scenario("idm"))
+        with pytest.raises(ValueError, match="seed"):
+            apply_perturbation(z, 1e-3, -1)
+        with pytest.raises(ValueError, match="amplitude"):
+            apply_perturbation(z, -1e-3, 1)
+        with pytest.raises(OverflowError):  # the range 2 * amp overflows, as in numpy
+            apply_perturbation(z, 1e308, 1)
+        with pytest.raises(TypeError):
+            apply_perturbation(z, 1e-3, 1.0)
 
 
 class TestRhs:
