@@ -381,61 +381,51 @@ def compute_stats(cfg: RunConfig, traj, series, fleet: analysis.FleetStats) -> d
     """The stats.json mapping of a run; fleet is the series' fleet_stats.
 
     It adds the stops after SETTLE_WINDOW_S, the largest speed spread over
-    the last FINAL_WINDOW_S, the collision's end-state gap, and lambda:
-    ``analysis.max_lyapunov`` with its defaults on vehicle 0's speed. Of
-    traj it reads the status, the events and the last accepted state, so
+    the last FINAL_WINDOW_S, the collision's end-state gap, the largest
+    density as 1 / min gap (the bits of ``fleet.max_density``), and lambda:
+    ``analysis.max_lyapunov`` with its defaults on vehicle 0's speed. Its
+    lyapunov block is degenerate with a note after a collision or an error.
+    Of traj it reads the status, the events and the last accepted state, so
     the run's ``Trajectory.final()`` serves as well as the whole of it.
     """
     sc = cfg.scenario
     stops = fleet.stops
-    first_stop = stops[0][0] if stops else None
-    after_settle = [e for e in stops if e[0] > SETTLE_WINDOW_S]
-    in_final = series.times >= series.times[-1] - FINAL_WINDOW_S
-    final_v_std = float(fleet.v_std_series[in_final].max())
-
     collision = traj.status == "terminated"
-    collision_time = traj.events[-1][0] if collision else None
-    min_gap, max_density = fleet.min_gap, fleet.max_density
-    lyap = None
-    lyap_error = None
+    collision_time, min_gap, lambda_max = None, fleet.min_gap, None
     if collision:
+        collision_time, event = traj.events[-1]
         # the samples stop short of the touching state; the last accepted
         # state is the closest to it
         min_gap = min(min_gap, float(ring.circular_gaps(traj.states[-1, 0::2],
                                                         sc.ring_length).min()))
-        max_density = max(max_density, 1.0 / min_gap)
-        lyap_error = (f"not computed: run terminated by a collision of vehicle "
-                      f"{traj.events[-1][1].vehicle} at t={float(collision_time)!r}")
+        lyapunov = {"degenerate": True, "note": f"not computed: run terminated by a collision "
+                    f"of vehicle {event.vehicle} at t={float(collision_time)!r}"}
     else:
         try:
             lyap = analysis.max_lyapunov(series.velocities[:, 0], sample_rate=sc.sample_hz)
         except ValueError as exc:
-            lyap_error = str(exc)
-
-    stats = {
+            lyapunov = {"degenerate": True, "note": str(exc) or "not computed"}
+        else:
+            lambda_max = _finite_or_none(lyap.lambda_max)
+            lyapunov = {f.name: getattr(lyap, f.name) for f in dataclasses.fields(lyap)
+                        if f.name not in ("lambda_max", "sample_rate", "divergence_curve")}
+    in_final = series.times >= series.times[-1] - FINAL_WINDOW_S
+    return {
         "status": traj.status,
         "collision": collision,
         "collision_time_s": _finite_or_none(collision_time),
         "t_end_s": float(series.times[-1]),
         "n_samples": int(series.times.size),
-        "lambda_max": _finite_or_none(lyap.lambda_max) if lyap else None,
-        "lyapunov": None,
-        "max_density_cars_per_m": max_density,
+        "lambda_max": lambda_max,
+        "lyapunov": lyapunov,
+        "max_density_cars_per_m": 1.0 / min_gap,
         "median_density_cars_per_m": fleet.median_density,
         "min_gap_m": min_gap,
         "stop_event_count": len(stops),
-        "stop_events_after_settle": len(after_settle),
-        "first_stop_time_s": _finite_or_none(first_stop),
-        "final_v_std_m_per_s": final_v_std,
+        "stop_events_after_settle": sum(t > SETTLE_WINDOW_S for t, _ in stops),
+        "first_stop_time_s": _finite_or_none(stops[0][0] if stops else None),
+        "final_v_std_m_per_s": float(fleet.v_std_series[in_final].max()),
     }
-    if lyap is not None:
-        stats["lyapunov"] = {
-            f.name: getattr(lyap, f.name) for f in dataclasses.fields(lyap)
-            if f.name not in ("lambda_max", "sample_rate", "divergence_curve")
-        }
-    else:
-        stats["lyapunov"] = {"degenerate": True, "note": lyap_error or "not computed"}
-    return stats
 
 
 def run_one(cfg: RunConfig, out_dir: str) -> tuple[int, dict]:
@@ -467,15 +457,19 @@ def _default_out_dir() -> str:
     return os.environ.get(OUT_ENV_VAR) or "runs"  # set but empty counts as unset
 
 
-def _check_out_dir(path: str) -> None:
-    """Raise ConfigError unless path is a directory or can be made one: its
-    nearest existing ancestor must be a directory."""
+def _make_out_dir(path: str) -> None:
+    """Make path a directory, or raise ConfigError: its nearest existing
+    ancestor must be a directory, and the OS must let it be created."""
     head = path
     while head and not os.path.exists(head):
         head = os.path.dirname(head)
     if head and not os.path.isdir(head):
         where = "" if head == path else f" (in the output path {path!r})"
         raise ConfigError("outputs.dir", f"{head!r} is not a directory{where}")
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("outputs.dir", f"cannot create {path!r}: {exc.strerror}") from exc
 
 
 def _config_with_overrides(d, args) -> RunConfig:
@@ -511,7 +505,7 @@ def cmd_run(args) -> int:
         raw = {"scenario": {"preset": args.preset}}
     cfg = _config_with_overrides(raw, args)
     out_dir = args.out or cfg.outputs.dir or _default_out_dir()
-    _check_out_dir(out_dir)
+    _make_out_dir(out_dir)
     code, stats = run_one(cfg, out_dir)
     if code != EXIT_SOLVER:
         lam = stats.get("lambda_max")
@@ -523,9 +517,15 @@ def cmd_run(args) -> int:
     return code
 
 
+# (stats.json key, printed header, printed width) of each compare column;
+# compare.csv heads its columns with the keys
 COMPARE_COLUMNS = (
-    "preset", "lambda_max", "max_density_cars_per_m", "stop_event_count",
-    "min_gap_m", "final_v_std_m_per_s",
+    ("preset", "preset", 14),
+    ("lambda_max", "lambda_max", 12),
+    ("max_density_cars_per_m", "max_density", 12),
+    ("stop_event_count", "stops", 7),
+    ("min_gap_m", "min_gap", 10),
+    ("final_v_std_m_per_s", "final_vstd", 10),
 )
 
 
@@ -539,48 +539,36 @@ def cmd_compare(args) -> int:
         if p in presets[:i]:  # its runs would share one output directory
             raise ConfigError("compare.presets", f"preset {p!r} given more than once")
     out_root = args.out or _default_out_dir()
+    # every config is checked before any directory is made
+    cfgs = [_config_with_overrides({"scenario": {"preset": p}}, args) for p in presets]
     for preset in presets:
-        _check_out_dir(os.path.join(out_root, preset))
+        _make_out_dir(os.path.join(out_root, preset))
     rows = []
     worst = EXIT_OK
-    for preset in presets:
-        cfg = _config_with_overrides({"scenario": {"preset": preset}}, args)
+    for preset, cfg in zip(presets, cfgs):
         code, stats = run_one(cfg, os.path.join(out_root, preset))
         worst = max(worst, code)
-        if code == EXIT_SOLVER:
-            rows.append({"preset": preset, "error": stats.get("error", "solver failure")})
-        else:
-            row = {"preset": preset}
-            for key in COMPARE_COLUMNS[1:]:
-                row[key] = stats.get(key)
-            # -inf marks an estimate max_lyapunov returned as degenerate; an
-            # exponent never estimated (a collision, a short series) has a
-            # lyapunov block without the estimator's diagnostics
-            lyap = stats["lyapunov"]
-            if row["lambda_max"] is None and lyap["degenerate"] and "n_points" in lyap:
-                row["lambda_max"] = float("-inf")
-            rows.append(row)
+        row = {"preset": preset, **stats}
+        # -inf marks an estimate max_lyapunov returned as degenerate; an
+        # exponent never estimated (a collision, a short series) has a
+        # lyapunov block without the estimator's diagnostics
+        lyap = stats.get("lyapunov")  # a solver failure has none
+        if lyap and row["lambda_max"] is None and lyap["degenerate"] and "n_points" in lyap:
+            row["lambda_max"] = float("-inf")
+        rows.append(row)
 
-    os.makedirs(out_root, exist_ok=True)
-    cells = [[row["preset"], "error"] + [""] * (len(COMPARE_COLUMNS) - 2) if "error" in row
-             else [row["preset"]] + [_csv_cell(row[c]) for c in COMPARE_COLUMNS[1:]]
-             for row in rows]
-    _write_table(os.path.join(out_root, "compare.csv"), ",".join(COMPARE_COLUMNS),
-                 list(zip(*cells)), ["%s"] * len(COMPARE_COLUMNS))
+    keys = [key for key, _, _ in COMPARE_COLUMNS]
+    cells = [[row["preset"], "error"] + [""] * (len(keys) - 2) if "error" in row
+             else [_csv_cell(row[key]) for key in keys] for row in rows]
+    _write_table(os.path.join(out_root, "compare.csv"), ",".join(keys),
+                 list(zip(*cells)), ["%s"] * len(keys))
 
-    widths = [14, 12, 12, 7, 10, 10]
-    print("  ".join(name.ljust(w) for name, w in zip(
-        ("preset", "lambda_max", "max_density", "stops", "min_gap", "final_vstd"), widths)))
+    print("  ".join(head.ljust(w) for _, head, w in COMPARE_COLUMNS))
     for row in rows:
         if "error" in row:
-            print(f"{row['preset']:<14}  FAILED: {row['error']}")
-            continue
-        cells = (
-            row["preset"], _fmt_cell(row["lambda_max"]),
-            _fmt_cell(row["max_density_cars_per_m"]), str(row["stop_event_count"]),
-            _fmt_cell(row["min_gap_m"]), _fmt_cell(row["final_v_std_m_per_s"]),
-        )
-        print("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
+            print(f"{row['preset'].ljust(COMPARE_COLUMNS[0][2])}  FAILED: {row['error']}")
+        else:
+            print("  ".join(_fmt_cell(row[key]).ljust(w) for key, _, w in COMPARE_COLUMNS))
     return worst
 
 

@@ -278,6 +278,21 @@ class TestConfigErrors:
         assert f"outputs.dir: {str(blocker)!r} is not a directory" in err
         assert blocker.read_text() == "keep"
 
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs a /proc file system")
+    @pytest.mark.parametrize("command", [
+        ("run", "--preset", "idm"),
+        ("compare", "--presets", "idm,mixed"),
+    ], ids=["run", "compare"])
+    def test_output_path_that_cannot_be_created(self, monkeypatch, capsys, command):
+        # /proc is a directory, but the OS refuses to make one in it: the
+        # path is reported before anything is integrated
+        monkeypatch.setattr(ring, "simulate", lambda *a, **k: pytest.fail("integrated"))
+        out = f"/proc/ringsim-test-{os.getpid()}"
+        assert run_cli(*command, "--t-end", "5", "-o", out) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: outputs.dir: ") and out in err
+        assert not os.path.exists(out)
+
     def test_integer_over_digit_limit(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"scenario": {"preset": "idm", "seed": 1' + "0" * 5000 + "}}")
@@ -909,6 +924,50 @@ class TestCompare:
         out = tmp_path / "flat"
         assert run_cli("compare", "--presets", "idm", "--t-end", "10", "-o", str(out)) == 0
         assert (out / "compare.csv").read_text().splitlines()[1].split(",")[1] == "-inf"
+
+    # the printed table's column widths, in the order of compare.csv's columns
+    WIDTHS = (14, 12, 12, 7, 10, 10)
+
+    def test_printed_table(self, tmp_path, capsys, monkeypatch):
+        # mixed's estimate is made degenerate, so its lambda cell reads -inf
+        estimate = analysis.max_lyapunov
+
+        def degenerate_for_mixed(signal, **kw):
+            calls.append(signal)
+            if len(calls) == 2:  # mixed runs second
+                return analysis._degenerate("constant signal: divergence undefined",
+                                            3, 1, 1, (0, 30), 30.0)
+            return estimate(signal, **kw)
+
+        calls = []
+        monkeypatch.setattr(analysis, "max_lyapunov", degenerate_for_mixed)
+        out = tmp_path / "cmp"
+        assert run_cli("compare", "--presets", "idm,mixed", "--t-end", "10",
+                       "-o", str(out)) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == ("preset          lambda_max    max_density   stops    "
+                            "min_gap     final_vstd")
+        assert len(lines) == 3
+        for line, preset in zip(lines[1:], ("idm", "mixed")):
+            stats = json.loads((out / preset / "stats.json").read_text())
+            lam = stats["lambda_max"]
+            if preset == "mixed":
+                assert lam is None and stats["lyapunov"]["degenerate"]
+                lam = -math.inf
+            values = (preset, lam, stats["max_density_cars_per_m"], stats["stop_event_count"],
+                      stats["min_gap_m"], stats["final_v_std_m_per_s"])
+            assert line == "  ".join(cli._fmt_cell(v).ljust(w)
+                                     for v, w in zip(values, self.WIDTHS))
+        assert lines[2].split()[1] == "-inf"
+
+    def test_failed_run_row(self, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        code = run_cli("compare", "--presets", "idm", "--t-end", "1e300", "-o", str(out))
+        assert code == cli.EXIT_SOLVER
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 2
+        assert lines[1].startswith("idm             FAILED: sample grid too large")
+        assert (out / "compare.csv").read_text().splitlines()[1] == "idm,error,,,,"
 
     def test_unknown_preset_rejected(self, capsys):
         assert run_cli("compare", "--presets", "idm,warp") == cli.EXIT_CONFIG
