@@ -24,8 +24,7 @@ after a rejection, a step that error control shortens) looks up its own
 five instants by the same rule. Each lookup passes through the caller's
 ``lag_map`` once, so work that depends on the delayed state alone runs
 once per lag interval on a run at the cap; the ODE path lags nothing.
-Every step reads the bits it would read by a lookup of its own. The
-stage loop works in buffers allocated once per run.
+Every step reads the bits it would read by a lookup of its own.
 
 The dense output is stored once, in the Trajectory the solver returns.
 Each accepted step appends its end state and four interpolation
@@ -164,10 +163,10 @@ class Trajectory:
 
     times, states hold every accepted step endpoint (including the initial
     state). ``evaluate`` interpolates anywhere in the covered span and
-    returns stored states exactly at stored instants. ``status`` is
-    "completed" for a full span or "terminated" when a domain error stopped
-    the run; ``events`` then holds one (time, exception) pair, the time
-    being that of the last accepted state.
+    returns stored states exactly at stored instants. ``events`` holds one
+    (time, exception) pair when a domain error stopped the run, the time
+    being that of the last accepted state, and is empty for a full span.
+    ``status`` is read off it: "terminated" with an event, else "completed".
 
     The solver fills a Trajectory of one instant, t0, as it integrates and
     reads its delayed states back from it while appending. The arrays start
@@ -199,7 +198,6 @@ class Trajectory:
         self._off = self._m = 0  # _m: the instants of sample_times sampled
         self._n = 0
         self.events: list[tuple[float, object]] = []
-        self.status = "completed"
         self.attempts = 0
         self._store(t0, y0)
 
@@ -253,7 +251,10 @@ class Trajectory:
         """Record the domain error that ends the run at t, without its
         traceback: the solver frames it holds would keep this storage alive."""
         self.events.append((t, exc.with_traceback(None)))
-        self.status = "terminated"
+
+    @property
+    def status(self) -> str:
+        return "terminated" if self.events else "completed"
 
     @property
     def t_end(self) -> float:
@@ -292,10 +293,10 @@ class Trajectory:
 
     def final(self) -> Trajectory:
         """The trajectory cut down to its last accepted instant, with the
-        same status and events, in arrays of its own: it keeps none of the
-        dense output of the earlier steps alive."""
+        same events, in arrays of its own: it keeps none of the dense
+        output of the earlier steps alive."""
         end = Trajectory(self.t_end, self.states[-1])
-        end.events, end.status = self.events, self.status
+        end.events = self.events
         return end
 
 
@@ -385,10 +386,6 @@ def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given, sample_hz=N
     the first later step that reads one. If the planned lookup raises dom,
     nothing is planned, and the error hits the step whose own lookup
     raises it.
-
-    Stage states and the error norm are computed in buffers allocated once
-    per run, operation for operation as y + h * (A @ k) and
-    max |h * (E @ k)| / scale, so the buffers change no bit of the result.
     """
     cfg = cfg or IntegratorConfig()
     t0, t_end = float(t_span[0]), float(t_span[1])
@@ -420,8 +417,6 @@ def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given, sample_hz=N
 
     t, y = t0, traj.states[0].copy()
     k = np.empty((7, y.size))
-    y1, dy, scale, ay1 = (np.empty_like(y) for _ in range(4))
-    ay = np.abs(y)  # |y| of the step's start state, for the error norm
     h, rows, stop, n_stop = cfg.h_init, _NO_LAG, t0, 0
     # domain_exc: the last domain error since the last accepted step
     err_prev, just_rejected, domain_exc = 1e-4, False, None
@@ -477,25 +472,15 @@ def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given, sample_hz=N
                 if rows is None:
                     rows = lookup(delays(t, h))
             for i in range(1, 7):
-                np.dot(_A[i], k[:i], out=dy)
-                dy *= h
-                np.add(y, dy, out=y1)
+                y1 = y + h * np.dot(_A[i], k[:i])
                 k[i] = f(t + _C_STAGE[i] * h, y1, rows[_LAG_ROW[i]])
         except dom as exc:
             h *= 0.5
             domain_exc = exc
             just_rejected = True
             continue
-        # err = max |h * (E @ k)| / (abs_tol + rel_tol * max(|y|, |y1|))
-        np.dot(_E, k, out=dy)
-        dy *= h
-        np.abs(dy, out=dy)
-        np.abs(y1, out=ay1)
-        np.maximum(ay, ay1, out=scale)
-        scale *= cfg.rel_tol
-        scale += cfg.abs_tol
-        dy /= scale
-        err = float(dy.max())
+        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y1))
+        err = float(np.max(np.abs(h * np.dot(_E, k)) / scale))
         if not math.isfinite(err):
             # Overflow or NaN in a stage: treat as a hard rejection.
             h *= _MIN_FACTOR
@@ -517,9 +502,7 @@ def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given, sample_hz=N
             factor = min(1.0, factor)
             just_rejected = False
         err_prev = max(err, 1e-4)
-        t = t_new
-        y, y1 = y1, y
-        ay, ay1 = ay1, ay
+        t, y = t_new, y1
         k[0] = k[6]  # FSAL
         h *= factor
     if traj.status == "terminated" and sample_hz is not None:  # ended before its span

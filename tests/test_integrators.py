@@ -184,6 +184,23 @@ class TestStepControl:
         with pytest.raises(IntegrationError, match=r"non-finite state .*\(at t=0\)"):
             integrate_ode(decay, [math.nan], (0.0, 1.0), cfg)
 
+    def test_non_finite_stage_is_a_hard_rejection(self):
+        # y' = y from 1, with an infinite derivative above 1.5: a first step
+        # of 0.4 has a stage state past 1.5 (exp(0.4) is 1.49), so its error
+        # norm is not finite and the step is retried at a fifth of its size.
+        def f(t, y):
+            return np.where(y > 1.5, np.inf, y)
+
+        cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9, h_init=1.0, h_max=1.0)
+        # the rejected step's stage sums meet inf - inf
+        with np.errstate(invalid="ignore"):
+            traj = integrate_ode(f, [1.0], (0.0, 0.4), cfg)
+        assert traj.status == "completed"
+        assert traj.attempts > len(traj.times) - 1
+        assert np.isfinite(traj.states).all()
+        assert traj.times[-1] == 0.4
+        assert abs(traj.states[-1, 0] - math.exp(0.4)) <= 10 * cfg.rel_tol
+
     def test_zero_span(self):
         traj = integrate_ode(decay, [1.0], (0.0, 0.0))
         assert traj.status == "completed"
