@@ -13,10 +13,12 @@ plain float arithmetic on one vehicle (``_fs_select``), which computes only
 the band the gap lies in: ``fs_command``, ``fs_region`` and
 ``fs_boundary`` run it directly on floats, ``np.float64`` included (a
 command or boundary comes back as a Python float), and entry by entry
-(``np.vectorize``) on arrays and other numpy scalars. IDM coefficients
-are one vehicle's ``IdmParams`` or the ``IdmColumns`` of several
-vehicles, which carry the same attribute names with one array entry per
-vehicle; FollowerStopper coefficients are one vehicle's ``FsParams``.
+(``np.vectorize``) on arrays and other numpy scalars; the fleet
+derivative of :mod:`ringsim.ring` calls it on gaps it has checked. IDM
+coefficients are one vehicle's ``IdmParams`` or the ``IdmColumns`` of
+several vehicles, which carry the same attribute names with one array
+entry per vehicle; FollowerStopper coefficients are one vehicle's
+``FsParams``.
 
 Sign conventions differ between the two laws and are documented on each
 function; mapping a fleet's leader/follower speeds onto these arguments is
@@ -109,8 +111,6 @@ class IdmColumns(NamedTuple):
                      for f in cls._fields))
 
 
-_EQ_ACCEL_TOL = 1e-12  # |acceleration| (m/s^2) at which idm_equilibrium_speed stops
-
 # Closing speed, beyond any reachable state, at which FsParams checks its
 # switching boundaries. Each is affine in q = min(0, dv)^2 and the omega
 # check covers q = 0, so ordering here means ordering for all dv in [-40, 0].
@@ -199,22 +199,21 @@ def idm_equilibrium_speed(s: float, p: IdmParams) -> float:
     """Speed at which idm_accel(s, v, 0) vanishes, by bisection.
 
     For s > s0 there is exactly one such speed in (0, v0) because the
-    acceleration is strictly decreasing in v at dv=0. For s <= s0 no
-    positive equilibrium exists and 0 is returned.
+    acceleration is strictly decreasing in v at dv=0. The bracket is halved
+    until no float lies strictly inside it, and its midpoint, one of its
+    two ends, is returned. For s <= s0 no positive equilibrium exists and
+    0 is returned.
     """
     if s <= p.s0:
         return 0.0
     lo, hi = 0.0, p.v0
     mid = 0.5 * (lo + hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f = idm_accel(s, mid, 0.0, p)
-        if abs(f) < _EQ_ACCEL_TOL:
-            break
-        if f > 0:
+    while lo < mid < hi:
+        if idm_accel(s, mid, 0.0, p) > 0:
             lo = mid
         else:
             hi = mid
+        mid = 0.5 * (lo + hi)
     return mid
 
 

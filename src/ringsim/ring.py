@@ -16,22 +16,22 @@ never delayed.
 
 ``simulate`` builds the fleet's arrays once per run: the leader index, the
 IDM coefficient columns of every vehicle and the FollowerStopper vehicles
-with their leaders. The fleet derivative is written once, in two halves.
-The delayed half (``_delayed_half``) reads only delayed states, one or a
-batch of them: it calls the IDM law of :mod:`ringsim.models` once on the
-arrays of the whole fleet and flags the IDM vehicles whose delayed gap is
-nonpositive. The current half (``_deriv``) reads the current state: it
-sets dx/dt = v, checks the current gaps together with the delayed flags,
-calls the FollowerStopper law once per FollowerStopper vehicle, on
-Python floats, in place of that vehicle's IDM value, and clamps vehicles
-at standstill. On the delay path the delayed half runs once per lag
-interval, on the delayed states of all the stages of the steps the solver
-plans at the step cap, and once more for each step off that plan, on its
-own stages; the solver reads each such batch in one lookup. Without delay
-only the current half runs, with the IDM law on the current state. The
-derivative is the one collision check: it raises ``CollisionError`` naming
-the first vehicle whose current gap, or delayed gap if it is an IDM
-vehicle, is nonpositive.
+with their leaders. The fleet derivative is written once, in two halves,
+and each raises ``CollisionError`` for the state it reads, naming the
+first vehicle whose gap there is nonpositive. The delayed half
+(``_delayed_half``) reads only delayed states, one or a batch of them: it
+checks the delayed gaps of the IDM vehicles, then calls the IDM law of
+:mod:`ringsim.models` once on the arrays of the whole fleet. The current
+half (``_deriv``) reads the current state and the delayed half's IDM
+accelerations: it sets dx/dt = v, checks the current gaps, calls the
+FollowerStopper law once per FollowerStopper vehicle, on Python floats,
+in place of that vehicle's IDM value, and clamps vehicles at standstill.
+On the delay path the delayed half runs first, as the solver's
+``lag_map``: once per lag interval, on the delayed states of all the
+stages of the steps the solver plans at the step cap, and once more for
+each step off that plan, on its own stages, before any of them runs; the
+solver reads each such batch in one lookup. Without delay only the
+current half runs, with the IDM law on the current state.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ from .models import (
     FsParams,
     IdmColumns,
     IdmParams,
+    _fs_select,
     fs_accel,
-    fs_command,
     idm_accel,
     idm_equilibrium_speed,
 )
@@ -269,6 +269,7 @@ class _Fleet:
         vehicle carries the default IdmParams, and its IDM value is
         replaced by its own law
     fs : (vehicle, leader, FsParams) of each FollowerStopper vehicle
+    fs_index : index of each FollowerStopper vehicle
     laps : lap offset of each vehicle's gap, fixed from the start state z0;
         None without z0, which takes every gap modulo L
     """
@@ -281,6 +282,7 @@ class _Fleet:
             [p if isinstance(p, IdmParams) else IdmParams() for p in params])
         self.fs = [(i, int(self.leaders[i]), p) for i, p in enumerate(params)
                    if isinstance(p, FsParams)]
+        self.fs_index = np.array([i for i, _, _ in self.fs], dtype=int)
         self.laps = None
         if z0 is not None:
             x = z0[0::2]
@@ -299,41 +301,34 @@ def _idm(gaps: np.ndarray, v: np.ndarray, fleet: _Fleet) -> np.ndarray:
     return idm_accel(gaps, v, v - v.take(fleet.leaders, axis=-1), fleet.idm)
 
 
-def _delayed_half(zd: np.ndarray, fleet: _Fleet) -> tuple[np.ndarray, np.ndarray]:
+def _delayed_half(zd: np.ndarray, fleet: _Fleet) -> np.ndarray:
     """The part of the fleet derivative that reads only the delayed state.
 
     zd is one delayed state, shaped (2n,), or m of them, shaped (m, 2n).
-    Returns the IDM acceleration of every vehicle and the mask of IDM
-    vehicles whose delayed gap is nonpositive, each shaped (n,) or (m, n).
-    A FollowerStopper vehicle, whose IDM value is discarded, and a flagged
-    vehicle, whose stage raises, are given a placeholder gap of 1 m, so
-    the IDM law never raises here.
+    Returns the IDM acceleration of every vehicle, shaped (n,) or (m, n).
+    Raises CollisionError for the first IDM vehicle whose delayed gap is
+    nonpositive, in the first such state. A FollowerStopper vehicle, whose
+    IDM value is discarded, is given a placeholder gap of 1 m.
     """
     gaps = fleet.gaps(zd[..., 0::2])
+    gaps[..., fleet.fs_index] = 1.0
     hit = gaps <= 0.0
-    for i, _, _ in fleet.fs:
-        # FollowerStopper vehicles act on the current state: only IDM
-        # vehicles may fail the delayed-gap check
-        hit[..., i] = False
-        gaps[..., i] = 1.0
     if np.count_nonzero(hit):
-        gaps[hit] = 1.0
-    return _idm(gaps, zd[..., 1::2], fleet), hit
+        i = int(np.argmax(hit)) % hit.shape[-1]  # row-major: the first state first
+        raise CollisionError(f"vehicle {i} has a nonpositive gap to its leader", vehicle=i)
+    return _idm(gaps, zd[..., 1::2], fleet)
 
 
-def _deriv(z: np.ndarray, lag: tuple[np.ndarray, np.ndarray] | None,
-           fleet: _Fleet) -> np.ndarray:
+def _deriv(z: np.ndarray, acc_d: np.ndarray | None, fleet: _Fleet) -> np.ndarray:
     """The fleet derivative at the current state z.
 
-    lag is ``_delayed_half`` of the delayed state; None for a fleet without
-    delay, whose IDM inputs are read from z itself.
+    acc_d is ``_delayed_half`` of the delayed state; None for a fleet
+    without delay, whose IDM inputs are read from z itself. Raises
+    CollisionError for the first vehicle whose current gap is nonpositive.
     """
     v = z[1::2]
     gaps = fleet.gaps(z[0::2])
     hit = gaps <= 0.0
-    if lag is not None:
-        acc_d, hit_d = lag
-        hit |= hit_d
     if np.count_nonzero(hit):
         i = int(np.argmax(hit))
         raise CollisionError(f"vehicle {i} has a nonpositive gap to its leader", vehicle=i)
@@ -341,12 +336,12 @@ def _deriv(z: np.ndarray, lag: tuple[np.ndarray, np.ndarray] | None,
     out = np.empty_like(z)
     out[0::2] = v
     acc = out[1::2]
-    acc[:] = _idm(gaps, v, fleet) if lag is None else acc_d
+    acc[:] = _idm(gaps, v, fleet) if acc_d is None else acc_d
     # FollowerStopper vehicles are few (one in the stock presets); on Python
     # floats the law runs its float body directly, without numpy.
     for i, ldr, p in fleet.fs:
         v_i, v_lead = v.item(i), v.item(ldr)
-        acc[i] = fs_accel(v_i, fs_command(gaps.item(i), v_lead - v_i, v_lead, p), p)
+        acc[i] = fs_accel(v_i, _fs_select(gaps.item(i), v_lead - v_i, v_lead, p)[1], p)
     stopped = v <= 0.0
     if np.count_nonzero(stopped):
         acc[stopped & (acc < 0.0)] = 0.0  # standstill: never integrate backwards
@@ -364,15 +359,16 @@ def rhs(t, z, z_delayed, scenario: RingScenario) -> np.ndarray:
     are clamped at zero, those fed to the FollowerStopper law are not, and
     a vehicle at standstill is never given a negative acceleration.
 
-    Gaps are taken modulo L. Raises CollisionError when a current gap, or
-    the delayed gap of an IDM vehicle, is nonpositive.
+    Gaps are taken modulo L. Raises CollisionError naming the first IDM
+    vehicle whose delayed gap is nonpositive, if any, and else the first
+    vehicle whose current gap is: the delayed state is read first.
     """
     z = np.asarray(z, dtype=float)
     fleet = _Fleet(scenario)
-    lag = None
+    acc_d = None
     if scenario.tau > 0:
-        lag = _delayed_half(np.asarray(z_delayed, dtype=float), fleet)
-    return _deriv(z, lag, fleet)
+        acc_d = _delayed_half(np.asarray(z_delayed, dtype=float), fleet)
+    return _deriv(z, acc_d, fleet)
 
 
 def simulate(scenario: RingScenario,
@@ -397,15 +393,15 @@ def simulate(scenario: RingScenario,
     if scenario.tau > 0:
         # the delayed half runs on each lookup's batch of delayed states:
         # once per lag interval, and once per step off the interval's plan;
-        # each stage gets its row
+        # each stage gets its row, and a collision it raises rejects the step
         return integrators.integrate_dde(
-            lambda t, z, lag: _deriv(z, lag, fleet),
+            lambda t, z, acc_d: _deriv(z, acc_d, fleet),
             z0,
             tau=scenario.tau,
             t_span=(0.0, scenario.t_end),
             cfg=cfg,
             domain_error=CollisionError,
-            lag_map=lambda zd: list(zip(*_delayed_half(zd, fleet))),
+            lag_map=lambda zd: _delayed_half(zd, fleet),
             sample_hz=scenario.sample_hz,
         )
     return integrators.integrate_ode(

@@ -106,6 +106,12 @@ class TestEquilibriumSpeed:
         assert 0.0 <= v_e <= P.v0
         assert abs(idm_accel(s, v_e, 0.0, P)) < 1e-10
 
+    @pytest.mark.parametrize("s", [10.0, 230.0 / 22.0, 9.60198, 1e9])
+    def test_bisects_to_the_last_float(self, s):
+        # the bracket shrinks to adjacent floats, so the residual is at the
+        # rounding level of the law, not at a stopping tolerance
+        assert abs(idm_accel(s, idm_equilibrium_speed(s, P), 0.0, P)) < 1e-15
+
 
 class TestFsBoundary:
     def test_quiescent(self):

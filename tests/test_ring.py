@@ -329,7 +329,7 @@ class TestRhsMatchesScalarOracle:
             lag = None
             if delayed:
                 zd = random_ring_state(rng, self.N, self.LENGTH)
-                lag = next(zip(*ring._delayed_half(zd[None], fleet)))
+                lag = ring._delayed_half(zd[None], fleet)[0]
             got = ring._deriv(z, lag, fleet)
             x = z[0::2]
             for i in (0, 6):
@@ -359,6 +359,41 @@ class TestRhsMatchesScalarOracle:
         z_then[2] = (z_then[0] - 10.0) % 100.0
         dz = rhs(0.0, z_now, z_then, sc)
         np.testing.assert_allclose(dz, oracle_rhs(z_now, z_then, sc), rtol=1e-13, atol=1e-15)
+
+    def test_delayed_half_checks_its_batch(self):
+        # a batch of three delayed states of a fleet with FollowerStopper
+        # vehicles 0 and 6; vehicle i sits on its leader i - 1 where
+        # x_i = x_(i-1), a gap of 0
+        sc = self.scenario((0, 6), 0.5)
+        fleet = ring._Fleet(sc)
+        rng = np.random.default_rng(29)
+        zd = np.array([random_ring_state(rng, self.N, self.LENGTH) for _ in range(3)])
+        zd[0, 0] = zd[0, 2 * 11]  # a FollowerStopper column is never checked
+        got = ring._delayed_half(zd, fleet)
+        assert got.shape == (3, self.N)
+        for row, z in zip(got, zd):
+            assert np.array_equal(row, ring._delayed_half(z, fleet))
+        # FollowerStopper vehicle 0 and IDM vehicles 4 and 8 in state 1, and
+        # IDM vehicle 2 in state 2: the first flagged IDM vehicle of the
+        # first state that has one is named
+        for k, i in [(1, 8), (1, 4), (1, 0), (2, 2)]:
+            zd[k, 2 * i] = zd[k, 2 * i - 2]
+        with pytest.raises(CollisionError) as info:
+            ring._delayed_half(zd, fleet)
+        assert info.value.vehicle == 4
+
+    def test_delayed_gap_named_before_current_gap(self):
+        # the delayed state is read first: with the FollowerStopper vehicle
+        # 0 on its leader now and IDM vehicle 3 on its leader at t - tau,
+        # the collision names vehicle 3
+        sc = build_uniform_scenario("mixed_delayed")
+        z_now = initial_state(sc)
+        z_then = z_now.copy()
+        z_now[0] = z_now[18]
+        z_then[6] = z_then[4]
+        with pytest.raises(CollisionError) as info:
+            rhs(0.0, z_now, z_then, sc)
+        assert info.value.vehicle == 3
 
 
 def crash_scenario(tau):
