@@ -417,6 +417,8 @@ def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given, sample_hz=N
 
     t, y = t0, traj.states[0].copy()
     k = np.empty((7, y.size))
+    stages = [k[:i] for i in range(7)]  # the stages before stage i
+    abs_y, err_v = np.abs(y), np.empty(y.size)  # |y| of the accepted state; scratch
     h, rows, stop, n_stop = cfg.h_init, _NO_LAG, t0, 0
     # domain_exc: the last domain error since the last accepted step
     err_prev, just_rejected, domain_exc = 1e-4, False, None
@@ -472,15 +474,20 @@ def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given, sample_hz=N
                 if rows is None:
                     rows = lookup(delays(t, h))
             for i in range(1, 7):
-                y1 = y + h * np.dot(_A[i], k[:i])
+                y1 = y + h * np.dot(_A[i], stages[i])
                 k[i] = f(t + _C_STAGE[i] * h, y1, rows[_LAG_ROW[i]])
         except dom as exc:
             h *= 0.5
             domain_exc = exc
             just_rejected = True
             continue
-        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(np.abs(y), np.abs(y1))
-        err = float(np.max(np.abs(h * np.dot(_E, k)) / scale))
+        abs_y1 = np.abs(y1)
+        scale = cfg.abs_tol + cfg.rel_tol * np.maximum(abs_y, abs_y1)
+        np.dot(_E, k, out=err_v)
+        err_v *= h
+        np.abs(err_v, out=err_v)
+        err_v /= scale
+        err = float(err_v.max())  # max |h * E @ k| / scale
         if not math.isfinite(err):
             # Overflow or NaN in a stage: treat as a hard rejection.
             h *= _MIN_FACTOR
@@ -502,7 +509,7 @@ def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given, sample_hz=N
             factor = min(1.0, factor)
             just_rejected = False
         err_prev = max(err, 1e-4)
-        t, y = t_new, y1
+        t, y, abs_y = t_new, y1, abs_y1
         k[0] = k[6]  # FSAL
         h *= factor
     if traj.status == "terminated" and sample_hz is not None:  # ended before its span

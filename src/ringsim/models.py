@@ -13,8 +13,10 @@ plain float arithmetic on one vehicle (``_fs_select``), which computes only
 the band the gap lies in: ``fs_command``, ``fs_region`` and
 ``fs_boundary`` run it directly on floats, ``np.float64`` included (a
 command or boundary comes back as a Python float), and entry by entry
-(``np.vectorize``) on arrays and other numpy scalars; the fleet
-derivative of :mod:`ringsim.ring` calls it on gaps it has checked. IDM
+(``np.vectorize``) on arrays and other numpy scalars. The IDM law has one
+unchecked body (``_idm_law``): ``idm_accel`` checks the gaps and calls
+it. The fleet derivative of :mod:`ringsim.ring` calls both bodies
+directly, on gaps it has already checked. IDM
 coefficients are one vehicle's ``IdmParams`` or the ``IdmColumns`` of
 several vehicles, which carry the same attribute names with one array
 entry per vehicle; FollowerStopper coefficients are one vehicle's
@@ -191,6 +193,11 @@ def idm_accel(s, v, dv, p: IdmParams | IdmColumns):
     input.
     """
     _check_gap(s, "IDM")
+    return _idm_law(s, v, dv, p)
+
+
+def _idm_law(s, v, dv, p: IdmParams | IdmColumns):
+    """The body of ``idm_accel``, for gaps the caller has already checked."""
     sstar = idm_desired_gap(v, dv, p)
     return p.a * (1.0 - (v / p.v0) ** p.delta - (sstar / s) ** 2)
 

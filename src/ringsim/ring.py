@@ -15,23 +15,28 @@ matching each controller's documented convention. Kinematics dx/dt = v is
 never delayed.
 
 ``simulate`` builds the fleet's arrays once per run: the leader index, the
-IDM coefficient columns of every vehicle and the FollowerStopper vehicles
-with their leaders. The fleet derivative is written once, in two halves,
-and each raises ``CollisionError`` for the state it reads, naming the
-first vehicle whose gap there is nonpositive. The delayed half
-(``_delayed_half``) reads only delayed states, one or a batch of them: it
-checks the delayed gaps of the IDM vehicles, then calls the IDM law of
-:mod:`ringsim.models` once on the arrays of the whole fleet. The current
-half (``_deriv``) reads the current state and the delayed half's IDM
-accelerations: it sets dx/dt = v, checks the current gaps, calls the
-FollowerStopper law once per FollowerStopper vehicle, on Python floats,
-in place of that vehicle's IDM value, and clamps vehicles at standstill.
-On the delay path the delayed half runs first, as the solver's
-``lag_map``: once per lag interval, on the delayed states of all the
-stages of the steps the solver plans at the step cap, and once more for
-each step off that plan, on its own stages, before any of them runs; the
-solver reads each such batch in one lookup. Without delay only the
-current half runs, with the IDM law on the current state.
+leader's slot for every slot of the state, the IDM coefficient columns of
+every vehicle and the FollowerStopper vehicles with their leaders. The
+fleet derivative is written once, in two halves, and each raises
+``CollisionError`` for the state it reads, naming the first vehicle whose
+gap there is nonpositive. Each half gathers the leader slots once, which
+gives the gaps and the speed differences together, and looks up the
+least gap and the least speed: the gaps are scanned only when the least
+is not positive, and speeds clamped at zero only when the least speed is
+not. The delayed half (``_delayed_half``) reads only delayed states, one
+or a batch of them: it checks the delayed gaps of the IDM vehicles, then
+calls the IDM law of :mod:`ringsim.models` once on the arrays of the
+whole fleet. The current half (``_deriv``) reads the current state and
+the delayed half's IDM accelerations: it sets dx/dt = v, checks the
+current gaps, calls the FollowerStopper law once per FollowerStopper
+vehicle, on Python floats, in place of that vehicle's IDM value, and
+clamps vehicles at standstill. Both call the IDM law's unchecked body,
+on gaps they have checked. On the delay path the delayed half runs
+first, as the solver's ``lag_map``: once per lag interval, on the delayed
+states of all the stages of the steps the solver plans at the step cap,
+and once more for each step off that plan, on its own stages, before any
+of them runs; the solver reads each such batch in one lookup. Without
+delay only the current half runs, with the IDM law on the current state.
 """
 
 from __future__ import annotations
@@ -49,8 +54,8 @@ from .models import (
     IdmColumns,
     IdmParams,
     _fs_select,
+    _idm_law,
     fs_accel,
-    idm_accel,
     idm_equilibrium_speed,
 )
 
@@ -265,6 +270,8 @@ class _Fleet:
     """Per-run arrays of a scenario, built once and read by every RHS call.
 
     leaders : index of each vehicle's leader (see _leaders)
+    slots : index of the leader's slot for every slot of the state: its
+        position for a position, its speed for a speed
     idm : IDM coefficient columns over all vehicles; a FollowerStopper
         vehicle carries the default IdmParams, and its IDM value is
         replaced by its own law
@@ -277,6 +284,7 @@ class _Fleet:
     def __init__(self, scenario: RingScenario, z0: np.ndarray | None = None):
         self.length = scenario.ring_length
         self.leaders = _leaders(scenario.n_vehicles)
+        self.slots = (2 * self.leaders[:, None] + np.arange(2)).ravel()
         params = scenario.controllers
         self.idm = IdmColumns.stack(
             [p if isinstance(p, IdmParams) else IdmParams() for p in params])
@@ -288,17 +296,37 @@ class _Fleet:
             x = z0[0::2]
             self.laps = -self.length * np.floor((x[self.leaders] - x) / self.length)
 
-    def gaps(self, x: np.ndarray) -> np.ndarray:
-        """Forward gap of every vehicle to its leader, over the last axis of x."""
+    def ahead(self, z: np.ndarray) -> np.ndarray:
+        """Leader's slot minus own slot over the last axis of the states z,
+        in one gather: the gap in each position slot, the leader's speed
+        less the vehicle's own in each speed slot."""
+        d = z.take(self.slots, axis=-1)
+        d -= z
+        gaps = d[..., 0::2]
         if self.laps is None:
-            return circular_gaps(x, self.length)
-        return x.take(self.leaders, axis=-1) - x + self.laps
+            gaps %= self.length
+        else:
+            gaps += self.laps
+        return d
 
 
-def _idm(gaps: np.ndarray, v: np.ndarray, fleet: _Fleet) -> np.ndarray:
-    """IDM acceleration of every vehicle, from its gap and the speeds."""
-    v = np.maximum(v, 0.0)
-    return idm_accel(gaps, v, v - v.take(fleet.leaders, axis=-1), fleet.idm)
+def _least(a: np.ndarray) -> float:
+    """The least entry of a over every axis, or its first NaN. On arrays
+    this small, argmin takes about half the time of a comparison and a
+    count, or of a minimum reduction."""
+    return a.item(a.argmin())
+
+
+def _check_gaps(gaps: np.ndarray):
+    """CollisionError naming the first vehicle whose gap is nonpositive, in
+    the first such state; the gaps are scanned only when their least entry
+    is not positive. A NaN gap does not raise."""
+    if not _least(gaps) > 0.0:
+        hit = gaps <= 0.0
+        if np.count_nonzero(hit):
+            i = int(np.argmax(hit)) % hit.shape[-1]  # row-major: the first state first
+            raise CollisionError(f"vehicle {i} has a nonpositive gap to its leader",
+                                 vehicle=i)
 
 
 def _delayed_half(zd: np.ndarray, fleet: _Fleet) -> np.ndarray:
@@ -308,15 +336,19 @@ def _delayed_half(zd: np.ndarray, fleet: _Fleet) -> np.ndarray:
     Returns the IDM acceleration of every vehicle, shaped (n,) or (m, n).
     Raises CollisionError for the first IDM vehicle whose delayed gap is
     nonpositive, in the first such state. A FollowerStopper vehicle, whose
-    IDM value is discarded, is given a placeholder gap of 1 m.
+    IDM value is discarded, is given a placeholder gap of 1 m. One gather
+    of the leader slots gives the gaps and the speed differences. The gaps
+    are scanned only when the least of them is not positive, and the
+    speeds clamped at zero only when the least of them is not.
     """
-    gaps = fleet.gaps(zd[..., 0::2])
+    d = fleet.ahead(zd)
+    gaps, v = d[..., 0::2], zd[..., 1::2]
     gaps[..., fleet.fs_index] = 1.0
-    hit = gaps <= 0.0
-    if np.count_nonzero(hit):
-        i = int(np.argmax(hit)) % hit.shape[-1]  # row-major: the first state first
-        raise CollisionError(f"vehicle {i} has a nonpositive gap to its leader", vehicle=i)
-    return _idm(gaps, zd[..., 1::2], fleet)
+    _check_gaps(gaps)
+    if _least(v) > 0.0:
+        return _idm_law(gaps, v, -d[..., 1::2], fleet.idm)  # v - v_lead
+    v = np.maximum(v, 0.0)
+    return _idm_law(gaps, v, v - v.take(fleet.leaders, axis=-1), fleet.idm)
 
 
 def _deriv(z: np.ndarray, acc_d: np.ndarray | None, fleet: _Fleet) -> np.ndarray:
@@ -325,26 +357,34 @@ def _deriv(z: np.ndarray, acc_d: np.ndarray | None, fleet: _Fleet) -> np.ndarray
     acc_d is ``_delayed_half`` of the delayed state; None for a fleet
     without delay, whose IDM inputs are read from z itself. Raises
     CollisionError for the first vehicle whose current gap is nonpositive.
+    One gather of the leader slots gives the gaps and the speed
+    differences. The gaps are scanned only when the least of them is not
+    positive. Only when the least speed is not positive does the IDM law
+    read the speeds clamped at zero, and is a vehicle at standstill denied
+    a negative acceleration.
     """
-    v = z[1::2]
-    gaps = fleet.gaps(z[0::2])
-    hit = gaps <= 0.0
-    if np.count_nonzero(hit):
-        i = int(np.argmax(hit))
-        raise CollisionError(f"vehicle {i} has a nonpositive gap to its leader", vehicle=i)
+    d = fleet.ahead(z)
+    gaps, v = d[0::2], z[1::2]
+    _check_gaps(gaps)
+    moving = _least(v) > 0.0
 
     out = np.empty_like(z)
     out[0::2] = v
     acc = out[1::2]
-    acc[:] = _idm(gaps, v, fleet) if acc_d is None else acc_d
+    if acc_d is not None:
+        acc[:] = acc_d
+    elif moving:
+        acc[:] = _idm_law(gaps, v, -d[1::2], fleet.idm)  # v - v_lead
+    else:
+        vc = np.maximum(v, 0.0)
+        acc[:] = _idm_law(gaps, vc, vc - vc.take(fleet.leaders), fleet.idm)
     # FollowerStopper vehicles are few (one in the stock presets); on Python
     # floats the law runs its float body directly, without numpy.
     for i, ldr, p in fleet.fs:
         v_i, v_lead = v.item(i), v.item(ldr)
         acc[i] = fs_accel(v_i, _fs_select(gaps.item(i), v_lead - v_i, v_lead, p)[1], p)
-    stopped = v <= 0.0
-    if np.count_nonzero(stopped):
-        acc[stopped & (acc < 0.0)] = 0.0  # standstill: never integrate backwards
+    if not moving:  # standstill: never integrate backwards
+        acc[(v <= 0.0) & (acc < 0.0)] = 0.0
     return out
 
 

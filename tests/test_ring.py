@@ -14,7 +14,9 @@ from ringsim.models import (
     CollisionError,
     FsParams,
     FsRegion,
+    IdmColumns,
     IdmParams,
+    _fs_select,
     fs_accel,
     fs_boundary,
     fs_command,
@@ -396,6 +398,128 @@ class TestRhsMatchesScalarOracle:
         assert info.value.vehicle == 3
 
 
+def same_bits(a, b):
+    """Equal shapes and equal bits: a -0.0 differs from 0.0."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestFleetHalvesBitExact:
+    """The two halves of the fleet derivative on a fleet built as simulate
+    builds it, lap offsets included, against the control laws of
+    ringsim.models on the same arrays, bit for bit."""
+
+    N = TestRhsMatchesScalarOracle.N
+    LENGTH = TestRhsMatchesScalarOracle.LENGTH
+    scenario = TestRhsMatchesScalarOracle.scenario
+
+    def states(self, rng, z0, count):
+        """Unwrapped states near z0, so its lap offsets hold: all moving,
+        some at standstill 1 m behind their leader, one at -0.0 or -1e-12
+        m/s, and one or two on or through their leader."""
+        n, length = self.N, self.LENGTH
+        laps = -length * np.floor((np.roll(z0[0::2], 1) - z0[0::2]) / length)
+        for k in range(count):
+            z = z0.copy()
+            z[0::2] += rng.uniform(-4.0, 4.0, n) + rng.uniform(0.0, 3 * length)
+            z[1::2] = rng.uniform(0.0, 8.0, n)
+            kind, picks = k % 5, rng.choice(n, 2, replace=False)
+            if kind == 1:
+                for i in sorted(picks):  # gap 1 m, inside every standstill gap
+                    z[2 * i] = z[2 * i - 2] + laps[i] - 1.0
+                    z[2 * i + 1] = 0.0
+            elif kind in (2, 3):
+                z[2 * picks[0] + 1] = -0.0 if kind == 2 else -1e-12
+            elif kind == 4:
+                for i, gap in zip(picks, [0.0, -0.5][:1 + k % 2]):
+                    z[2 * i] = z[2 * i - 2] + laps[i] - gap
+            yield z
+
+    def oracle_gaps(self, z, z0):
+        x, x0 = z[..., 0::2], z0[0::2]
+        ldr = (np.arange(self.N) - 1) % self.N
+        return x[..., ldr] - x - self.LENGTH * np.floor((x0[ldr] - x0) / self.LENGTH)
+
+    def oracle_idm(self, gaps, v, sc):
+        cols = IdmColumns.stack([p if isinstance(p, IdmParams) else IdmParams()
+                                 for p in sc.controllers])
+        v = np.maximum(v, 0.0)
+        return idm_accel(gaps, v, v - v[..., (np.arange(self.N) - 1) % self.N], cols)
+
+    def oracle_delayed(self, zd, z0, sc, fs_at):
+        gaps = self.oracle_gaps(zd, z0)
+        gaps[..., list(fs_at)] = 1.0
+        hit = np.argwhere(gaps.reshape(-1, self.N) <= 0.0)
+        if len(hit):
+            return int(hit[0][1])
+        return self.oracle_idm(gaps, zd[..., 1::2], sc)
+
+    def oracle_current(self, z, acc_d, z0, sc):
+        gaps, v = self.oracle_gaps(z, z0), z[1::2]
+        hit = np.flatnonzero(gaps <= 0.0)
+        if len(hit):
+            return int(hit[0])
+        out = np.empty_like(z)
+        out[0::2] = v
+        acc = out[1::2]
+        acc[:] = self.oracle_idm(gaps, v, sc) if acc_d is None else acc_d
+        for i, p in enumerate(sc.controllers):
+            if isinstance(p, FsParams):
+                v_i, v_lead = float(v[i]), float(v[i - 1])
+                cmd = _fs_select(float(gaps[i]), v_lead - v_i, v_lead, p)[1]
+                acc[i] = fs_accel(v_i, cmd, p)
+        acc[(v <= 0.0) & (acc < 0.0)] = 0.0
+        return out
+
+    def outcome(self, half, *args):
+        try:
+            return half(*args)
+        except CollisionError as exc:
+            return exc.vehicle
+
+    def assert_same(self, got, want):
+        if isinstance(want, int):
+            assert got == want
+        else:
+            assert same_bits(got, want)
+
+    @pytest.mark.parametrize("fs_at", [(), (0, 6)], ids=["idm_only", "two_fs"])
+    @pytest.mark.parametrize("delayed", [False, True], ids=["now", "delayed"])
+    def test_current_half(self, fs_at, delayed):
+        sc = self.scenario(fs_at, 0.5 if delayed else 0.0)
+        z0 = apply_perturbation(initial_state(sc), sc.perturb_amp, sc.seed)
+        fleet = ring._Fleet(sc, z0)
+        rng = np.random.default_rng(31)
+        kinds = Counter()
+        for z in self.states(rng, z0, 60):
+            acc_d = None
+            if delayed:
+                acc_d = self.oracle_delayed(next(self.states(rng, z0, 1)), z0, sc, fs_at)
+            want = self.oracle_current(z, acc_d, z0, sc)
+            self.assert_same(self.outcome(ring._deriv, z, acc_d, fleet), want)
+            kinds["collision" if isinstance(want, int) else "clamped"
+                  if np.any((z[1::2] <= 0.0) & (want[1::2] == 0.0)) else "plain"] += 1
+        assert kinds["collision"] >= 10 and kinds["clamped"] >= 10 and kinds["plain"] >= 20
+
+    @pytest.mark.parametrize("fs_at", [(), (0, 6)], ids=["idm_only", "two_fs"])
+    def test_delayed_half_batch(self, fs_at):
+        sc = self.scenario(fs_at, 0.5)
+        z0 = apply_perturbation(initial_state(sc), sc.perturb_amp, sc.seed)
+        fleet = ring._Fleet(sc, z0)
+        rng = np.random.default_rng(37)
+        states = list(self.states(rng, z0, 60))
+        named = 0
+        for m in (1, 3, 5):
+            for j in range(0, len(states) - m, m):
+                zd = np.array(states[j:j + m])
+                want = self.oracle_delayed(zd, z0, sc, fs_at)
+                self.assert_same(self.outcome(ring._delayed_half, zd, fleet), want)
+                named += isinstance(want, int)
+                if m == 1:
+                    self.assert_same(self.outcome(ring._delayed_half, zd[0], fleet),
+                                     want if isinstance(want, int) else want[0])
+        assert named >= 10
+
+
 def crash_scenario(tau):
     """A FollowerStopper vehicle at 10 m/s, 1 m behind a stopped IDM leader."""
     sc = RingScenario(ring_length=100.0, controllers=(FsParams(), IdmParams()),
@@ -646,18 +770,19 @@ class TestDelayedBatch:
         assert (attempts > batched.times.size - 1) == rejects
 
     def test_idm_law_once_per_lookup(self, monkeypatch):
-        lookup = integrators.Trajectory._lookup
+        # the fleet calls the IDM law's unchecked body, its gaps checked
+        lookup, law = integrators.Trajectory._lookup, ring._idm_law
         laws, lookups = [], []
 
         def counted_law(s, v, dv, p):
             laws.append(np.shape(s))
-            return idm_accel(s, v, dv, p)
+            return law(s, v, dv, p)
 
         def counted_lookup(traj, t):  # the lag lookups, not the sample instants
             lookups.append(np.ndim(t))
             return lookup(traj, t)
 
-        monkeypatch.setattr(ring, "idm_accel", counted_law)
+        monkeypatch.setattr(ring, "_idm_law", counted_law)
         monkeypatch.setattr(integrators.Trajectory, "_lookup", counted_lookup)
         sc = replace(build_uniform_scenario("idm_delayed"), t_end=60.0)
         simulate(sc)
