@@ -301,6 +301,47 @@ def _degenerate(reason, embed_dim, lag, min_sep, fit_range, rate,
     )
 
 
+def _divergence_curve(x, lag, embed_dim, refs, nbrs, k_max) -> np.ndarray:
+    """Mean log distance of the embedded pairs (refs, nbrs) k samples on,
+    for k = 0..k_max; NaN from the first k with fewer than _MIN_PAIRS
+    pairs at a positive distance on.
+
+    Point i of the embedding is x[i + c * lag] for c < embed_dim, so each
+    coordinate of the pairs k samples on is one gather from the view
+    x[k + c * lag:]. A pair stays in range while k <= m - 1 - max(i, j),
+    m being the number of points; the range is checked only once some
+    pair has left it, and zero distances are dropped only when the least
+    distance is not positive. Squared differences are summed in
+    coordinate order, as in _sq_dist. np.linalg.norm over the embedded
+    rows gives the same bits for embed_dim <= 7 only: from 8 coordinates
+    on numpy sums them unrolled, so a curve there may differ from one
+    taken by norm in the last bits.
+    """
+    m = x.size - (embed_dim - 1) * lag
+    last = m - 1 - np.maximum(refs, nbrs)  # the last k each pair is in range for
+    all_in = int(last.min())
+    curve = np.full(k_max + 1, np.nan)
+    for k in range(k_max + 1):
+        i, j = refs, nbrs
+        if k > all_in:
+            ok = last >= k
+            if not ok.any():
+                break
+            i, j = i[ok], j[ok]
+        d2 = 0.0
+        for c in range(embed_dim):
+            xk = x[k + c * lag:]
+            diff = xk[i] - xk[j]
+            d2 = d2 + diff * diff
+        d = np.sqrt(d2)
+        if not d.min() > 0.0:
+            d = d[d > 0.0]
+        if d.size < _MIN_PAIRS:
+            break
+        curve[k] = np.mean(np.log(d))
+    return curve
+
+
 def max_lyapunov(signal, sample_rate: float = 1.0, embed_dim: int = 3,
                  lag: int | None = None, min_separation: int | None = None,
                  fit_range: tuple[int, int] | None = None) -> LyapunovResult:
@@ -316,7 +357,9 @@ def max_lyapunov(signal, sample_rate: float = 1.0, embed_dim: int = 3,
     Defaults: lag is the first zero crossing of the autocorrelation (1/e
     fallback), min_separation the dominant spectral period, and fit_range
     one second worth of samples. The series must be long enough to embed
-    and track (roughly 500 samples or more).
+    and track (roughly 500 samples or more). Distances are summed in
+    coordinate order (``_divergence_curve``); from embed_dim 8 on they may
+    differ in the last bits from np.linalg.norm's unrolled sum.
     """
     x = np.asarray(signal, dtype=float).ravel()
     if fit_range is None:
@@ -370,19 +413,7 @@ def max_lyapunov(signal, sample_rate: float = 1.0, embed_dim: int = 3,
             n_points=m_pts, n_zero_distance=n_zero,
         )
 
-    k_max = fit_range[1]
-    curve = np.full(k_max + 1, np.nan)
-    for k in range(k_max + 1):
-        i = refs + k
-        j = nn_idx[refs] + k
-        ok = (i < m_pts) & (j < m_pts)
-        if not np.any(ok):
-            break
-        d = np.linalg.norm(Y[i[ok]] - Y[j[ok]], axis=1)
-        d = d[d > 0.0]
-        if d.size < _MIN_PAIRS:
-            break
-        curve[k] = np.mean(np.log(d))
+    curve = _divergence_curve(x, lag, embed_dim, refs, nn_idx[refs], fit_range[1])
     have = np.nonzero(np.isfinite(curve))[0]
     lo = fit_range[0]
     usable = have[(have >= lo)]

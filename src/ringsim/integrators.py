@@ -27,14 +27,16 @@ once per lag interval on a run at the cap; the ODE path lags nothing.
 Every step reads the bits it would read by a lookup of its own.
 
 The dense output is stored once, in the Trajectory the solver returns.
-Each accepted step appends its end state and four interpolation
-coefficients per component, about 40 bytes per component, to storage
-sized at the start for the steps the step cap implies, doubled for a run
-that outgrows it, and returned cut to the stored rows, uncopied. Given
-``sample_hz``, the solver lays out the sample grid, samples it as it goes
-and keeps the coefficients (32 of the 40 bytes) in a window of fixed
-size: the last tau of history. :meth:`Trajectory.final` keeps only the
-end of a run, so that the rest can be freed once it has been sampled.
+Each accepted step appends its instant, its step size and, per
+component, its end state and four interpolation coefficients: 8 x (5 dim
++ 2) bytes per step, to storage sized at the start for the steps the
+step cap implies, doubled for a run that outgrows it, and returned cut
+to the stored rows, uncopied. Given ``sample_hz``, the solver lays out
+the sample grid, samples it as it goes and keeps all but the instants in
+a window of fixed size, the last tau of history, so that the run stores
+8 bytes per accepted step beyond the window. :meth:`Trajectory.final`
+keeps only the end of a run, so that the rest can be freed once it has
+been sampled.
 """
 
 from __future__ import annotations
@@ -161,40 +163,45 @@ def _dense(times, states, coeffs, hs, t) -> np.ndarray:
 class Trajectory:
     """Accepted-step samples plus dense interpolation coefficients.
 
-    times, states hold every accepted step endpoint (including the initial
-    state). ``evaluate`` interpolates anywhere in the covered span and
-    returns stored states exactly at stored instants. ``events`` holds one
-    (time, exception) pair when a domain error stopped the run, the time
-    being that of the last accepted state, and is empty for a full span.
-    ``status`` is read off it: "terminated" with an event, else "completed".
+    times holds every accepted step endpoint (including the initial
+    state), and states the states at ``times[_off:]``: every one for a run
+    without a sample grid, and for a sampled run those of the window, the
+    last tau of history or more. ``evaluate`` interpolates anywhere in the
+    covered span and returns stored states exactly at stored instants.
+    ``events`` holds one (time, exception) pair when a domain error
+    stopped the run, the time being that of the last accepted state, and
+    is empty for a full span. ``status`` is read off it: "terminated" with
+    an event, else "completed".
 
     The solver fills a Trajectory of one instant, t0, as it integrates and
-    reads its delayed states back from it while appending. The arrays start
-    with room for ``rows`` instants and double when they fill. They are
-    allocated uninitialised, so rows past the last written one take address
-    space but no resident memory; the solver cuts the arrays to the stored
-    rows, uncopied, before it returns them. The step row of the last stored
-    instant is a zero step of unit length, written with the instant.
-    ``samples`` holds the state at each instant of ``sample_times``, the
-    grid at ``sample_hz`` (None: no grid) up to the run's end. When the
-    coefficient window (``_coeffs[0]`` is step row ``_off``) fills, the
-    pending instants before the new one are evaluated, and the rows later
-    reads can land in, from the one holding the new instant less ``reach``
-    (inf without a grid), move to its front; it doubles if they fill over
-    half of it. ``attempts`` counts the run's attempted steps, accepted and
-    rejected, across all its lag intervals; the step loop holds it to
-    ``max_steps``.
+    reads its delayed states back from it while appending. ``times``
+    starts with room for ``rows`` instants and doubles when it fills. The
+    arrays are allocated uninitialised, so rows past the last written one
+    take address space but no resident memory; the solver cuts them to the
+    stored rows, uncopied, before it returns them. The step row of the
+    last stored instant is a zero step of unit length, written with the
+    instant. ``samples`` holds the state at each instant of
+    ``sample_times``, the grid at ``sample_hz`` (None: no grid) up to the
+    run's end. The states, step sizes and coefficients share one window
+    (row 0 of each is instant ``_off``) of ``rows`` rows, or at most
+    _ROWS with a grid. When it fills, the pending instants before the new
+    one are evaluated, and the rows later reads can land in, from the one
+    holding the new instant less ``reach`` (inf without a grid), move to
+    its front; it doubles if they fill over half of it. ``attempts``
+    counts the run's attempted steps, accepted and rejected, across all
+    its lag intervals; the step loop holds it to ``max_steps``.
     """
 
     def __init__(self, t0: float, y0: np.ndarray, rows: int = 1,
                  sample_hz: float | None = None, sample_times=(), reach=math.inf):
         self.times = np.empty(rows)
-        self.states = np.empty((rows, y0.size))
-        self._h = np.empty(rows)
+        window = rows if reach == math.inf else min(rows, _ROWS)
+        self.states = np.empty((window, y0.size))
+        self._h = np.empty(window)
+        self._coeffs = np.empty((window, y0.size, 4))
         self.sample_hz, self._reach = sample_hz, reach
         self.sample_times = np.asarray(sample_times, dtype=float)
         self.samples = np.empty((self.sample_times.size, y0.size))
-        self._coeffs = np.empty((rows if reach == math.inf else min(rows, _ROWS), y0.size, 4))
         self._off = self._m = 0  # _m: the instants of sample_times sampled
         self._n = 0
         self.events: list[tuple[float, object]] = []
@@ -205,28 +212,29 @@ class Trajectory:
         """Write instant n and the zero step that follows it."""
         n = self._n
         if n == self.times.size:
-            for name in ("times", "states", "_h"):
-                old = getattr(self, name)
-                new = np.empty((2 * n,) + old.shape[1:])
-                new[:n] = old
-                setattr(self, name, new)
-        if n - self._off == len(self._coeffs):
+            times = np.empty(2 * n)
+            times[:n] = self.times
+            self.times = times
+        if n - self._off == len(self._h):
             self._slide(t)
+        row = n - self._off
         self.times[n] = t
-        self.states[n] = y
-        self._coeffs[n - self._off] = 0.0
-        self._h[n] = 1.0
+        self.states[row] = y
+        self._coeffs[row] = 0.0
+        self._h[row] = 1.0
         self._n = n + 1
 
     def _slide(self, t: float):
-        """Make room in the full coefficient window for the row of instant t."""
+        """Make room in the full window for the rows of instant t."""
         n, off = self._n, self._off
         self._sample(t, "left")
         keep = int(self.times[:n].searchsorted(max(t - self._reach, self.times[0]), "right")) - 1
-        old = self._coeffs
-        if 2 * (n - keep) > len(old):
-            self._coeffs = np.empty((2 * len(old),) + old.shape[1:])
-        self._coeffs[:n - keep] = old[keep - off:n - off]
+        grow = 2 * (n - keep) > len(self._h)
+        for name in ("states", "_h", "_coeffs"):
+            old = getattr(self, name)
+            new = np.empty((2 * len(old),) + old.shape[1:]) if grow else old
+            new[:n - keep] = old[keep - off:n - off]
+            setattr(self, name, new)
         self._off = keep
 
     def _sample(self, t: float, side: str):
@@ -238,13 +246,13 @@ class Trajectory:
         self._m = end
 
     def _read(self, t) -> np.ndarray:
-        """_dense over the stored instants whose coefficient rows are kept."""
-        off, n = self._off, self._n
-        return _dense(self.times[off:n], self.states[off:n], self._coeffs, self._h[off:n], t)
+        """_dense over the stored instants whose rows are kept."""
+        return _dense(self.times[self._off:self._n], self.states, self._coeffs, self._h, t)
 
     def append(self, t: float, y: np.ndarray, coeff: np.ndarray, h: float):
-        self._coeffs[self._n - 1 - self._off] = coeff
-        self._h[self._n - 1] = h
+        row = self._n - 1 - self._off
+        self._coeffs[row] = coeff
+        self._h[row] = h
         self._store(t, y)
 
     def _end_on(self, t: float, exc: BaseException):
@@ -515,9 +523,9 @@ def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given, sample_hz=N
     if traj.status == "terminated" and sample_hz is not None:  # ended before its span
         traj.sample_times = _grid(t0, t, sample_hz)
     traj._sample(t, "right")
-    n = traj._n  # the returned arrays are views of the stored rows, uncopied
+    n, rows = traj._n, traj._n - traj._off  # views of the stored rows, uncopied
     traj.times, traj.states, traj._coeffs, traj._h, traj.samples = (
-        traj.times[:n], traj.states[:n], traj._coeffs[:n - traj._off], traj._h[:n],
+        traj.times[:n], traj.states[:rows], traj._coeffs[:rows], traj._h[:rows],
         traj.samples[:traj._m])
     return traj
 

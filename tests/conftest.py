@@ -27,9 +27,10 @@ def traced_peak():
 @pytest.fixture
 def keep_whole_store(monkeypatch):
     """A function that makes the solver sample nothing, so that
-    ring.simulate's trajectory keeps every coefficient row of the run, as
-    one integrated without sample_hz does. It patches through the
-    monkeypatch context it is given, or the test's own monkeypatch."""
+    ring.simulate's trajectory keeps the state, step size and coefficient
+    row of every step of the run, as one integrated without sample_hz
+    does. It patches through the monkeypatch context it is given, or the
+    test's own monkeypatch."""
     from ringsim import integrators
 
     def patch(m=monkeypatch):

@@ -255,8 +255,10 @@ class TestScenarioCriteria:
         ok = all(s == "completed" and n == 0 for s, n in statuses.values())
         report(6, "no collisions at default tolerances", ok, str(statuses))
 
-    def test_criterion_7_uniform_flow_invariance(self):
+    def test_criterion_7_uniform_flow_invariance(self, keep_whole_store):
+        # the speeds of every accepted step, from the run's whole store
         sc = equilibrium_scenario("idm", seed=SEED)
+        keep_whole_store()
         traj = simulate(sc, IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9))
         dev = float(np.abs(traj.states[:, 1::2] - sc.v_init).max())
         ok = traj.status == "completed" and dev < 1e-4

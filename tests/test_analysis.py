@@ -154,6 +154,39 @@ class TestMaxLyapunov:
         assert res.n_zero_distance > res.n_reference
         assert res.lambda_max == ref.lambda_max
 
+    @pytest.mark.parametrize("embed_dim", [1, 2, 3, 4, 5])
+    def test_divergence_curve_matches_norm_loop(self, monkeypatch, embed_dim):
+        # a chaotic series with a constant stretch in the middle and the
+        # same constant as its tail: the stretch's points have duplicates
+        # in the tail, so the reference points leave a gap, and pairs that
+        # drift into the constant parts reach zero distance. Fit ranges run
+        # to the exclusion window and off the end of the series.
+        x = logistic_series(1500)
+        x[500:700] = x[1200:] = 0.3
+        lag, min_sep = 2, 20
+        m = x.size - (embed_dim - 1) * lag
+        xc = x - x.mean()
+        Y = xc[np.arange(m)[:, None] + np.arange(embed_dim) * lag]
+        nn_idx, nn_d = analysis._nearest_neighbors(Y, min_sep)
+        refs = np.nonzero(np.isfinite(nn_d) & (nn_d > 0.0))[0]
+        assert np.diff(refs).max() > 1
+        zeros = []
+        for k_max in (30, min_sep, m):
+            want = norm_loop_curve(Y, refs, nn_idx[refs], k_max, zeros)
+            got = analysis._divergence_curve(xc, lag, embed_dim, refs, nn_idx[refs], k_max)
+            assert np.array_equal(got, want, equal_nan=True)
+        assert any(zeros) and np.isnan(want[-1])
+        # max_lyapunov hands the curve the centred series and its pairs
+        kwargs = dict(embed_dim=embed_dim, lag=lag, min_separation=min_sep, fit_range=(0, 30))
+        res = max_lyapunov(x, **kwargs)
+        monkeypatch.setattr(analysis, "_divergence_curve",
+                            lambda x, lag, dim, refs, nbrs, k_max: norm_loop_curve(
+                                x[np.arange(m)[:, None] + np.arange(dim) * lag],
+                                refs, nbrs, k_max, []))
+        ref = max_lyapunov(x, **kwargs)
+        assert res.lambda_max == ref.lambda_max
+        assert np.array_equal(res.divergence_curve, ref.divergence_curve)
+
     def test_series_too_short(self):
         with pytest.raises(ValueError, match="too short"):
             max_lyapunov(np.sin(np.arange(40)), sample_rate=1.0)
@@ -171,6 +204,27 @@ class TestMaxLyapunov:
         x = np.sin(2 * np.pi * t)  # period 100 samples
         res = max_lyapunov(x, sample_rate=100.0, fit_range=(0, 30))
         assert 15 <= res.lag <= 35  # quarter period for a sinusoid
+
+
+def norm_loop_curve(Y, refs, nbrs, k_max, zeros):
+    """The divergence curve by a masked np.linalg.norm over the embedded
+    rows at every k; appends to zeros whether each k dropped a pair at
+    zero distance."""
+    m = Y.shape[0]
+    curve = np.full(k_max + 1, np.nan)
+    for k in range(k_max + 1):
+        i = refs + k
+        j = nbrs + k
+        ok = (i < m) & (j < m)
+        if not np.any(ok):
+            break
+        d = np.linalg.norm(Y[i[ok]] - Y[j[ok]], axis=1)
+        zeros.append(not d.all())
+        d = d[d > 0.0]
+        if d.size < analysis._MIN_PAIRS:
+            break
+        curve[k] = np.mean(np.log(d))
+    return curve
 
 
 def brute_nearest(Y, exclusion, chunk=256):

@@ -528,8 +528,11 @@ def crash_scenario(tau):
 
 
 class TestSimulate:
-    def test_gap_conservation(self):
+    """Checks on the state of every accepted step read the runs' whole store."""
+
+    def test_gap_conservation(self, keep_whole_store):
         sc = replace(build_uniform_scenario("idm"), t_end=20.0)
+        keep_whole_store()
         traj = simulate(sc, TIGHT)
         x = traj.states[:, 0::2]
         leaders = (np.arange(10) - 1) % 10
@@ -550,9 +553,10 @@ class TestSimulate:
         assert np.max(diff) < 1e-6
         assert np.max(np.abs(sb.velocities - sa.velocities)) < 1e-6
 
-    def test_relabeling_symmetry(self):
+    def test_relabeling_symmetry(self, keep_whole_store):
         # rotating vehicle labels permutes the trajectory bit-for-bit
         base = replace(build_uniform_scenario("idm"), t_end=5.0)
+        keep_whole_store()
         z0 = apply_perturbation(initial_state(base), base.perturb_amp, base.seed)
         n = base.n_vehicles
         rot = np.empty_like(z0)
@@ -567,28 +571,34 @@ class TestSimulate:
             assert np.array_equal(traj_b.states[:, 2 * i], traj_a.states[:, 2 * src])
             assert np.array_equal(traj_b.states[:, 2 * i + 1], traj_a.states[:, 2 * src + 1])
 
-    def test_uniform_manifold_invariant_short(self):
+    def test_uniform_manifold_invariant_short(self, keep_whole_store):
         sc = replace(equilibrium_scenario("idm"), t_end=50.0)
         cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9)
+        keep_whole_store()
         traj = simulate(sc, cfg)
         dev = np.abs(traj.states[:, 1::2] - sc.v_init).max()
         assert dev < 1e-6 * 100
 
-    def test_velocities_never_negative_in_series(self):
+    def test_velocities_never_negative_in_series(self, keep_whole_store):
         # three-vehicle ring engineered to brake to standstill
         idm = IdmParams()
         sc = RingScenario(ring_length=24.0, controllers=(idm,) * 3,
                           v_init=8.0, perturb_amp=0.5, seed=3, t_end=40.0,
                           sample_hz=30.0)
-        traj = simulate(sc, IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9))
+        cfg = IntegratorConfig(rel_tol=1e-6, abs_tol=1e-9)
+        traj = simulate(sc, cfg)
         assert traj.status == "completed"
         series = sample(traj, sc)
         assert np.all(series.velocities >= 0.0)
         # raw states may undershoot only within solver tolerance
-        assert traj.states[:, 1::2].min() > -1e-6
+        keep_whole_store()
+        whole = simulate(sc, cfg)
+        assert np.array_equal(whole.times, traj.times)
+        assert whole.states[:, 1::2].min() > -1e-6
 
-    def test_determinism(self):
+    def test_determinism(self, keep_whole_store):
         sc = replace(build_uniform_scenario("mixed_delayed"), t_end=8.0)
+        keep_whole_store()
         a = simulate(sc, TIGHT)
         b = simulate(sc, TIGHT)
         assert np.array_equal(a.times, b.times)
@@ -627,10 +637,11 @@ class TestSimulate:
             assert np.array_equal(series.velocities, [np.maximum(z0[1::2], 0.0)])
 
     @pytest.mark.parametrize("tau", [0.0, 0.5])
-    def test_follower_stopper_crash_terminates(self, tau):
+    def test_follower_stopper_crash_terminates(self, tau, keep_whole_store):
         # the FollowerStopper vehicle cannot brake in time; it must neither
         # drive through its leader nor end the run in a solver failure
         sc, z0 = crash_scenario(tau)
+        keep_whole_store()
         traj = simulate(sc, z0=z0)
         assert traj.status == "terminated"
         ((t_ev, exc),) = traj.events
@@ -747,7 +758,9 @@ class TestDelayedBatch:
         oracle = simulate_per_stage(monkeypatch, sc)
         assert sampled.status == batched.status == oracle.status == "completed"
         assert sampled.attempts == batched.attempts
-        assert np.array_equal(sampled.states, batched.states)
+        assert np.array_equal(sampled.times, batched.times)
+        assert np.array_equal(sampled.states, batched.states[sampled._off:])
+        assert np.array_equal(sampled._h, batched._h[sampled._off:])
         assert np.array_equal(batched.times, oracle.times)
         assert np.array_equal(batched.states, oracle.states)
         assert np.array_equal(batched._coeffs, oracle._coeffs)
@@ -921,7 +934,9 @@ def sample_with_whole_store(keep_whole_store, sc, z0=None):
         keep_whole_store(m)
         whole = simulate(sc, z0=z0)
     assert np.array_equal(traj.times, whole.times)
-    assert np.array_equal(traj.states, whole.states)
+    assert whole._off == 0
+    for name in ("states", "_h", "_coeffs"):  # the window holds the last rows
+        assert np.array_equal(getattr(traj, name), getattr(whole, name)[traj._off:])
     z = whole.evaluate(series.times)
     assert np.array_equal(traj.samples, z)
     assert np.array_equal(series.positions, z[:, 0::2] % sc.ring_length)
@@ -954,18 +969,27 @@ class TestMemory:
         whole, peak = traced_peak(simulate, sc)
         assert peak <= 1.25 * sum(a.nbytes for a in storage(whole))
 
-    def test_coefficient_window_does_not_grow_with_the_run(self):
-        # the 22-car ring samples its grid as it goes and keeps a window of
-        # coefficient rows of one size whatever the run length; the states
-        # of every step are kept
+    def test_coefficient_window_does_not_grow_with_the_run(self, monkeypatch):
+        # the 22-car ring samples its grid as it goes and keeps its states,
+        # step sizes and coefficient rows in a window of one size whatever
+        # the run length; only the instants of every accepted step are kept
+        append, accepted = integrators.Trajectory.append, []
+
+        def counted_append(traj, *args):
+            accepted.append(None)
+            return append(traj, *args)
+
+        monkeypatch.setattr(integrators.Trajectory, "append", counted_append)
         sizes = []
         for t_end in (300.0, 1200.0):
             sc = RingScenario(ring_length=230.0, controllers=(IdmParams(),) * 22,
                               t_end=t_end)
+            accepted.clear()
             traj = simulate(sc)
-            assert traj.times.size > 10 * t_end
-            sizes.append(traj._coeffs.base.nbytes)
-        assert sizes[0] == sizes[1] == integrators._ROWS * 44 * 4 * 8
+            assert traj.times.size == len(accepted) + 1 > 10 * t_end
+            sizes.append([a.base.nbytes for a in (traj.states, traj._h, traj._coeffs)])
+        rows = integrators._ROWS
+        assert sizes[0] == sizes[1] == [rows * 44 * 8, rows * 8, rows * 44 * 4 * 8]
 
     def test_sample_holds_the_series_and_one_block(self, traced_peak):
         # 9001 instants. The solver has sampled them all, a block at a time
@@ -998,15 +1022,18 @@ class TestMemory:
         try:
             traj = simulate(scenario, cfg, z0=z0)
             rows = traj.times.size
-            assert [a.shape[0] for a in (traj.states, traj._h)] == [rows] * 2
-            assert traj._coeffs.shape[0] == rows - traj._off
+            window = ("states", "_h", "_coeffs")
+            assert [getattr(traj, a).shape[0] for a in window] == [rows - traj._off] * 3
             if case == "regrown":
                 assert rows == 713
                 assert traj.times.base.size > 617 > traj._off > 0
                 with monkeypatch.context() as m:
                     keep_whole_store(m)
                     whole = simulate(scenario, cfg, z0=z0)
-                assert whole._coeffs.shape[0] == whole.times.size == rows
+                assert np.array_equal(whole.times, traj.times)
+                for a in window:
+                    assert getattr(whole, a).shape[0] == rows
+                    assert np.array_equal(getattr(traj, a), getattr(whole, a)[traj._off:])
                 del whole
             stored = [weakref.ref(a) for a in storage(traj)]
             end = traj.final()
