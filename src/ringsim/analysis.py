@@ -533,20 +533,20 @@ def fleet_stats(series: RingSeries, v_stop: float = 0.1) -> FleetStats:
     The densities are those of ``voronoi_density`` over every gap, read off
     the gaps' order statistics without a density matrix: a correctly
     rounded 1/gap never rises as the gap grows, so the largest density is
-    1/min gap and the middle densities are the reciprocals of the middle
-    gaps. The median density is ``np.mean`` of the one or two middle
-    densities, the bits ``np.median`` gives; ``np.median`` itself would
-    import numpy.ma for its NaN check, and the gaps hold no NaN.
+    that of the least gap, which raises ValueError when it is nonpositive,
+    and the middle densities are the reciprocals of the middle gaps. The
+    median density is ``np.mean`` of the one or two middle densities, the
+    bits ``np.median`` gives; ``np.median`` itself would import numpy.ma
+    for its NaN check, and the gaps hold no NaN.
     """
     gaps = series.gaps().ravel()
     min_gap = float(gaps.min())
-    if min_gap <= 0:
-        raise ValueError("density is undefined for nonpositive gaps")
+    max_density = float(voronoi_density(min_gap))
     mid = sorted({(gaps.size - 1) // 2, gaps.size // 2})
     return FleetStats(
         v_std_series=series.velocities.std(axis=1),
         stops=stop_events(series, v_stop),
         min_gap=min_gap,
-        max_density=1.0 / min_gap,
+        max_density=max_density,
         median_density=float(np.mean(1.0 / np.partition(gaps, mid)[mid])),
     )

@@ -1,42 +1,19 @@
 """Adaptive numerical integration engines.
 
-An embedded Dormand-Prince 5(4) Runge-Kutta stepper with PI step-size
-control and a 4th-order dense-output interpolant drives both entry points:
-:func:`integrate_ode` for plain initial-value problems and
+An embedded Dormand-Prince 5(4) Runge-Kutta pair with PI step-size
+control and a 4th-order dense-output interpolant serves both entry
+points: :func:`integrate_ode` for plain initial-value problems and
 :func:`integrate_dde` for systems with a single constant lag whose state
-before t0 is the initial state. One stepping loop solves both by the
-method of steps: no step crosses a breakpoint t0 + k*tau, so each lag
-interval reads its delayed states off the dense interpolant of completed
-steps, a delayed instant before t0 being clamped to t0. A breakpoint only
-bounds the step: the derivative there is the last step's final stage
-(FSAL), and the step size and the controller's memory carry across it.
-An ODE is the lag-free case, one interval long.
+before t0 is the initial state. What lives where:
 
-One evaluator reads every state off a trajectory, at a scalar instant or
-at a 1-d array of them: the delayed lookups while integrating, the
-instants of the sample grid and :meth:`Trajectory.evaluate`. The step cap
-fixes nearly every step of a lag interval in advance, so each interval
-starts with one lookup over the five distinct stage instants (the last
-two stages share t + h) of every step it would take if each were
-accepted at the cap. A step taken as planned uses its rows of that
-batch; any other step (the ramp-up from the initial step size, a retry
-after a rejection, a step that error control shortens) looks up its own
-five instants by the same rule. Each lookup passes through the caller's
-``lag_map`` once, so work that depends on the delayed state alone runs
-once per lag interval on a run at the cap; the ODE path lags nothing.
-Every step reads the bits it would read by a lookup of its own.
-
-The dense output is stored once, in the Trajectory the solver returns.
-Each accepted step appends its instant, its step size and, per
-component, its end state and four interpolation coefficients: 8 x (5 dim
-+ 2) bytes per step, to storage sized at the start for the steps the
-step cap implies, doubled for a run that outgrows it, and returned cut
-to the stored rows, uncopied. Given ``sample_hz``, the solver lays out
-the sample grid, samples it as it goes and keeps all but the instants in
-a window of fixed size, the last tau of history, so that the run stores
-8 bytes per accepted step beyond the window. :meth:`Trajectory.final`
-keeps only the end of a run, so that the rest can be freed once it has
-been sampled.
+- :func:`_integrate`: the one stepping loop of both, by the method of
+  steps (an ODE is the lag-free case, one interval long), with the plan
+  of each lag interval's delayed lookups (:func:`_plan`, by the step
+  rule :func:`_clip`) and the sample grid (:func:`_grid`).
+- :func:`_dense`: the one evaluator of stored steps, for the delayed
+  lookups, the sample grid and :meth:`Trajectory.evaluate`.
+- :class:`Trajectory`: the one store of the dense output, which the
+  solver fills as it integrates and returns.
 """
 
 from __future__ import annotations
@@ -168,28 +145,29 @@ class Trajectory:
     without a sample grid, and for a sampled run those of the window, the
     last tau of history or more. ``evaluate`` interpolates anywhere in the
     covered span and returns stored states exactly at stored instants.
-    ``events`` holds one (time, exception) pair when a domain error
-    stopped the run, the time being that of the last accepted state, and
-    is empty for a full span. ``status`` is read off it: "terminated" with
-    an event, else "completed".
+    ``samples`` holds the state at each instant of ``sample_times``, the
+    grid at ``sample_hz`` (None: no grid) up to the run's end. ``events``
+    holds one (time, exception) pair when a domain error stopped the run,
+    the time being that of the last accepted state, and is empty for a
+    full span; ``status`` is read off it: "terminated" with an event, else
+    "completed". ``attempts`` counts the run's attempted steps, accepted
+    and rejected, across all its lag intervals; the step loop holds it to
+    ``max_steps``.
 
     The solver fills a Trajectory of one instant, t0, as it integrates and
-    reads its delayed states back from it while appending. ``times``
-    starts with room for ``rows`` instants and doubles when it fills. The
-    arrays are allocated uninitialised, so rows past the last written one
-    take address space but no resident memory; the solver cuts them to the
-    stored rows, uncopied, before it returns them. The step row of the
-    last stored instant is a zero step of unit length, written with the
-    instant. ``samples`` holds the state at each instant of
-    ``sample_times``, the grid at ``sample_hz`` (None: no grid) up to the
-    run's end. The states, step sizes and coefficients share one window
-    (row 0 of each is instant ``_off``) of ``rows`` rows, or at most
-    _ROWS with a grid. When it fills, the pending instants before the new
-    one are evaluated, and the rows later reads can land in, from the one
-    holding the new instant less ``reach`` (inf without a grid), move to
-    its front; it doubles if they fill over half of it. ``attempts``
-    counts the run's attempted steps, accepted and rejected, across all
-    its lag intervals; the step loop holds it to ``max_steps``.
+    reads its delayed states back from it while appending. Each accepted
+    step stores its instant, its step size and, per component, its end
+    state and four interpolation coefficients: 8 x (5 dim + 2) bytes.
+    ``times`` starts with room for ``rows`` instants, the steps the step
+    cap implies, and doubles when it fills. The states, step sizes and
+    coefficients share one window (row 0 of each is instant ``_off``) of
+    ``rows`` rows, or at most _ROWS with a grid, which ``_slide`` moves
+    and grows: a sampled run stores 8 bytes per accepted step beyond it.
+    The arrays are allocated uninitialised, so rows past the last written
+    one take address space but no resident memory; the solver cuts them
+    to the stored rows, uncopied, before it returns them. ``final`` keeps
+    only the end of a run, so that the rest can be freed once it has been
+    sampled.
     """
 
     def __init__(self, t0: float, y0: np.ndarray, rows: int = 1,
@@ -209,7 +187,8 @@ class Trajectory:
         self._store(t0, y0)
 
     def _store(self, t: float, y: np.ndarray):
-        """Write instant n and the zero step that follows it."""
+        """Write instant n and the zero step of unit length that follows
+        it, which ``_dense`` reads at the last stored instant."""
         n = self._n
         if n == self.times.size:
             times = np.empty(2 * n)
@@ -225,7 +204,13 @@ class Trajectory:
         self._n = n + 1
 
     def _slide(self, t: float):
-        """Make room in the full window for the rows of instant t."""
+        """Make room in the full window for the rows of instant t.
+
+        The pending sample instants before t are evaluated, and the rows
+        later reads can land in, from the one holding t less ``reach``
+        (inf without a grid), move to the window's front; it doubles if
+        they fill over half of it.
+        """
         n, off = self._n, self._off
         self._sample(t, "left")
         keep = int(self.times[:n].searchsorted(max(t - self._reach, self.times[0]), "right")) - 1
@@ -372,28 +357,34 @@ def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given, sample_hz=N
     """dy/dt = f(t, y, y(t - tau)), with y = y0 before t0, by the method of steps.
 
     f(t, y, z) is the derivative at t given the row z that lag_map makes
-    of y(t - tau) (None for an ODE). One loop steps from t0 to t_end.
+    of y(t - tau) (None for an ODE). One loop steps from t0 to t_end. An
+    ODE is the lag-free case tau = inf: one interval, steps capped at
+    h_max, no delayed state. An empty span evaluates nothing. A grid or a
+    store too large raises IntegrationError before the first step.
+
     Steps never cross a breakpoint t0 + k*tau, where the derivative may
     jump, or exceed tau, so a delayed instant, clamped to t0, always lands
-    in completed steps, and t0 reads the stored y0 exactly. An ODE is the
-    lag-free case tau = inf: one interval, steps capped at h_max, no
-    delayed state. An empty span evaluates nothing. Each instant of the
-    grid at sample_hz is read off its own step row, as off a whole-run
-    store, or the end state; a run that ends before its span samples the
-    grid of its own span. A grid or a store too large raises
-    IntegrationError before the first step.
+    in completed steps, and t0 reads the stored y0 exactly. A breakpoint
+    only bounds the step: the derivative is evaluated afresh only at t0,
+    and FSAL, the step size and the controller's memory carry across
+    every later one.
 
-    A breakpoint only bounds the step: the derivative is evaluated afresh
-    only at t0, and FSAL, the step size and the controller's memory carry
-    across every later one. At each breakpoint, t0 included, a DDE looks
-    up the stage instants of every step that :func:`_plan` lays out for
-    the next lag interval, by the rule of a step's own lookup. A step
-    whose (t, h) is planned takes those rows; any other looks up its own.
-    A delayed instant that rounds past t, the last stored instant, reads
-    t's state only until the next step is stored, so the plan ends before
-    the first later step that reads one. If the planned lookup raises dom,
-    nothing is planned, and the error hits the step whose own lookup
-    raises it.
+    The step cap fixes nearly every step of a lag interval in advance, so
+    at each breakpoint, t0 included, a DDE makes one lookup over the
+    stage instants of every step that :func:`_plan` lays out for the next
+    interval, by the rule of a step's own lookup. A step whose (t, h) is
+    planned takes those rows; any other (the ramp-up from the initial
+    step size, a retry after a rejection, a step that error control
+    shortens) looks up its own, so every step reads the bits its own
+    lookup would, and each lookup passes through lag_map once. A delayed
+    instant that rounds past t, the last stored instant, reads t's state
+    only until the next step is stored, so the plan ends before the first
+    later step that reads one. If the planned lookup raises dom, nothing
+    is planned, and the error hits the step whose own lookup raises it.
+
+    Each instant of the grid at sample_hz is read off its own step row,
+    as off a whole-run store, or the end state; a run that ends before
+    its span samples the grid of its own span.
     """
     cfg = cfg or IntegratorConfig()
     t0, t_end = float(t_span[0]), float(t_span[1])
@@ -496,12 +487,9 @@ def _integrate(f, y0, tau, t_span, cfg, dom, lag_map=_rows_as_given, sample_hz=N
         np.abs(err_v, out=err_v)
         err_v /= scale
         err = float(err_v.max())  # max |h * E @ k| / scale
-        if not math.isfinite(err):
-            # Overflow or NaN in a stage: treat as a hard rejection.
-            h *= _MIN_FACTOR
-            just_rejected = True
-            continue
-        if err > 1.0:
+        if not err <= 1.0:
+            # a NaN or inf norm (overflow or NaN in a stage) gives the least
+            # factor: max keeps _MIN_FACTOR against NaN, and inf ** -0.2 is 0
             h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
             just_rejected = True
             continue

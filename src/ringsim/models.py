@@ -9,18 +9,15 @@ acceleration.
 Every law is written once, and its inputs may be scalars, 0-d or 1-d
 arrays that broadcast together; scalar inputs give a scalar. The IDM law
 and the tracking rule are numpy operations. The FollowerStopper command is
-plain float arithmetic on one vehicle (``_fs_select``), which computes only
-the band the gap lies in: ``fs_command``, ``fs_region`` and
-``fs_boundary`` run it directly on floats, ``np.float64`` included (a
-command or boundary comes back as a Python float), and entry by entry
-(``np.vectorize``) on arrays and other numpy scalars. The IDM law has one
-unchecked body (``_idm_law``): ``idm_accel`` checks the gaps and calls
-it. The fleet derivative of :mod:`ringsim.ring` calls both bodies
-directly, on gaps it has already checked. IDM
-coefficients are one vehicle's ``IdmParams`` or the ``IdmColumns`` of
-several vehicles, which carry the same attribute names with one array
-entry per vehicle; FollowerStopper coefficients are one vehicle's
-``FsParams``.
+plain float arithmetic on one vehicle (``_fs_select``), which
+``fs_command``, ``fs_region`` and ``fs_boundary`` apply through
+``_per_entry``. The IDM law has one unchecked body (``_idm_law``):
+``idm_accel`` checks the gaps and calls it. The fleet derivative of
+:mod:`ringsim.ring` calls both bodies directly, on gaps it has already
+checked. IDM coefficients are one vehicle's ``IdmParams`` or the
+``IdmColumns`` of several vehicles, which carry the same attribute names
+with one array entry per vehicle; FollowerStopper coefficients are one
+vehicle's ``FsParams``.
 
 Sign conventions differ between the two laws and are documented on each
 function; mapping a fleet's leader/follower speeds onto these arguments is
@@ -224,6 +221,19 @@ def idm_equilibrium_speed(s: float, p: IdmParams) -> float:
     return mid
 
 
+def _per_entry(law, otype, *args):
+    """law on one vehicle's inputs, or entry by entry on broadcast arrays.
+
+    Python floats, ``np.float64`` included, run the float body directly,
+    converted to Python floats, so a command or boundary comes back as a
+    Python float. Any other input runs through ``np.vectorize`` with the
+    output type otype; scalar inputs give a scalar.
+    """
+    if all(isinstance(a, float) for a in args):
+        return law(*map(float, args))
+    return np.vectorize(law, otypes=[otype])(*args)[()]
+
+
 def fs_boundary(j: int, dv, p: FsParams):
     """Switching boundary d_j = omega_j + min(0, dv)^2 / (2*alpha_j).
 
@@ -233,9 +243,7 @@ def fs_boundary(j: int, dv, p: FsParams):
     """
     if j not in (1, 2, 3):
         raise ValueError(f"boundary index must be 1, 2 or 3, got {j}")
-    if isinstance(dv, float):
-        return _fs_boundaries(float(dv), p)[j - 1]
-    return np.vectorize(lambda d: _fs_boundaries(d, p)[j - 1], otypes=[float])(dv)[()]
+    return _per_entry(lambda d: _fs_boundaries(d, p)[j - 1], float, dv)
 
 
 def _fs_boundaries(dv: float, p: FsParams) -> tuple[float, float, float]:
@@ -286,10 +294,7 @@ def fs_region(dx, dv, p: FsParams):
     of region codes.
     """
     _check_gap(dx, "FollowerStopper")
-    if isinstance(dx, float) and isinstance(dv, float):
-        return _fs_select(float(dx), float(dv), 0.0, p)[0]
-    region = np.vectorize(lambda x, d: _fs_select(x, d, 0.0, p)[0],
-                          otypes=[np.int64])(dx, dv)[()]
+    region = _per_entry(lambda x, d: _fs_select(x, d, 0.0, p)[0], np.int64, dx, dv)
     return FsRegion(region) if np.ndim(region) == 0 else region
 
 
@@ -301,10 +306,7 @@ def fs_command(dx, dv, v_lead, p: FsParams):
     ramping on to r at d3, and r beyond, over the bands of ``fs_region``.
     """
     _check_gap(dx, "FollowerStopper")
-    if isinstance(dx, float) and isinstance(dv, float) and isinstance(v_lead, float):
-        return _fs_select(float(dx), float(dv), float(v_lead), p)[1]
-    return np.vectorize(lambda x, d, v: _fs_select(x, d, v, p)[1],
-                        otypes=[float])(dx, dv, v_lead)[()]
+    return _per_entry(lambda x, d, v: _fs_select(x, d, v, p)[1], float, dx, dv, v_lead)
 
 
 def fs_accel(v, v_cmd, p: FsParams):

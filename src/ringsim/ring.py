@@ -2,41 +2,19 @@
 
 The fleet state is a flat vector [x1, v1, x2, v2, ..., xN, vN]. Vehicle i
 follows vehicle i-1 (vehicle 0 follows vehicle N-1) on a ring of length L.
-Positions are integrated unwrapped. ``simulate`` adds a lap offset, fixed
-from the start state, to each position difference, so a vehicle that
-drives through its leader gets a negative gap; ``rhs`` and the sampled
-series work modulo L.
+Positions are integrated unwrapped; ``rhs`` and the sampled series work
+modulo L. What lives where:
 
-IDM vehicles receive their inputs (gap, own speed, approach rate) from the
-state at t - tau when a reaction delay is configured; their approach rate
-is passed to the IDM law as v_follower - v_leader. The FollowerStopper
-vehicle always acts on the current state and uses v_leader - v_follower,
-matching each controller's documented convention. Kinematics dx/dt = v is
-never delayed.
-
-``simulate`` builds the fleet's arrays once per run: the leader index, the
-leader's slot for every slot of the state, the IDM coefficient columns of
-every vehicle and the FollowerStopper vehicles with their leaders. The
-fleet derivative is written once, in two halves, and each raises
-``CollisionError`` for the state it reads, naming the first vehicle whose
-gap there is nonpositive. Each half gathers the leader slots once, which
-gives the gaps and the speed differences together, and looks up the
-least gap and the least speed: the gaps are scanned only when the least
-is not positive, and speeds clamped at zero only when the least speed is
-not. The delayed half (``_delayed_half``) reads only delayed states, one
-or a batch of them: it checks the delayed gaps of the IDM vehicles, then
-calls the IDM law of :mod:`ringsim.models` once on the arrays of the
-whole fleet. The current half (``_deriv``) reads the current state and
-the delayed half's IDM accelerations: it sets dx/dt = v, checks the
-current gaps, calls the FollowerStopper law once per FollowerStopper
-vehicle, on Python floats, in place of that vehicle's IDM value, and
-clamps vehicles at standstill. Both call the IDM law's unchecked body,
-on gaps they have checked. On the delay path the delayed half runs
-first, as the solver's ``lag_map``: once per lag interval, on the delayed
-states of all the stages of the steps the solver plans at the step cap,
-and once more for each step off that plan, on its own stages, before any
-of them runs; the solver reads each such batch in one lookup. Without
-delay only the current half runs, with the IDM law on the current state.
+- ``RingScenario``: one run's description, whose defaults are the stock
+  ring; ``build_uniform_scenario``, ``initial_state`` and
+  ``apply_perturbation`` make the stock runs and their start states.
+- ``_Fleet``: the per-run arrays every derivative reads, lap offsets
+  included, built once by ``simulate``.
+- ``_delayed_half`` and ``_deriv``: the fleet derivative, written once in
+  two halves, the one reading only the delayed state and the other the
+  current one, around one IDM body (``_idm``); ``rhs`` is its public form.
+- ``simulate``: the solver call, with the delayed half as its ``lag_map``.
+- ``RingSeries`` and ``sample``: the sampled series.
 """
 
 from __future__ import annotations
@@ -277,8 +255,9 @@ class _Fleet:
         replaced by its own law
     fs : (vehicle, leader, FsParams) of each FollowerStopper vehicle
     fs_index : index of each FollowerStopper vehicle
-    laps : lap offset of each vehicle's gap, fixed from the start state z0;
-        None without z0, which takes every gap modulo L
+    laps : lap offset of each vehicle's gap, fixed from the start state z0,
+        so that a vehicle that drives through its leader gets a negative
+        gap; None without z0, which takes every gap modulo L
     """
 
     def __init__(self, scenario: RingScenario, z0: np.ndarray | None = None):
@@ -329,6 +308,18 @@ def _check_gaps(gaps: np.ndarray):
                                  vehicle=i)
 
 
+def _idm(d: np.ndarray, v: np.ndarray, moving: bool, fleet: _Fleet) -> np.ndarray:
+    """The IDM acceleration of every vehicle, from the leader differences d
+    of ``_Fleet.ahead`` (its gaps checked by the caller) and the speeds v,
+    over the last axis. moving says that the least speed is positive; only
+    when it is not does the law read the speeds clamped at zero."""
+    gaps = d[..., 0::2]
+    if moving:
+        return _idm_law(gaps, v, -d[..., 1::2], fleet.idm)  # v - v_lead
+    v = np.maximum(v, 0.0)
+    return _idm_law(gaps, v, v - v.take(fleet.leaders, axis=-1), fleet.idm)
+
+
 def _delayed_half(zd: np.ndarray, fleet: _Fleet) -> np.ndarray:
     """The part of the fleet derivative that reads only the delayed state.
 
@@ -336,32 +327,24 @@ def _delayed_half(zd: np.ndarray, fleet: _Fleet) -> np.ndarray:
     Returns the IDM acceleration of every vehicle, shaped (n,) or (m, n).
     Raises CollisionError for the first IDM vehicle whose delayed gap is
     nonpositive, in the first such state. A FollowerStopper vehicle, whose
-    IDM value is discarded, is given a placeholder gap of 1 m. One gather
-    of the leader slots gives the gaps and the speed differences. The gaps
-    are scanned only when the least of them is not positive, and the
-    speeds clamped at zero only when the least of them is not.
+    IDM value is discarded, is given a placeholder gap of 1 m.
     """
     d = fleet.ahead(zd)
     gaps, v = d[..., 0::2], zd[..., 1::2]
     gaps[..., fleet.fs_index] = 1.0
     _check_gaps(gaps)
-    if _least(v) > 0.0:
-        return _idm_law(gaps, v, -d[..., 1::2], fleet.idm)  # v - v_lead
-    v = np.maximum(v, 0.0)
-    return _idm_law(gaps, v, v - v.take(fleet.leaders, axis=-1), fleet.idm)
+    return _idm(d, v, _least(v) > 0.0, fleet)
 
 
 def _deriv(z: np.ndarray, acc_d: np.ndarray | None, fleet: _Fleet) -> np.ndarray:
     """The fleet derivative at the current state z.
 
     acc_d is ``_delayed_half`` of the delayed state; None for a fleet
-    without delay, whose IDM inputs are read from z itself. Raises
+    without delay, which takes the IDM accelerations of z itself. Raises
     CollisionError for the first vehicle whose current gap is nonpositive.
-    One gather of the leader slots gives the gaps and the speed
-    differences. The gaps are scanned only when the least of them is not
-    positive. Only when the least speed is not positive does the IDM law
-    read the speeds clamped at zero, and is a vehicle at standstill denied
-    a negative acceleration.
+    Each FollowerStopper vehicle's IDM value is replaced by its own law.
+    Only when the least speed is not positive is a vehicle at standstill
+    denied a negative acceleration.
     """
     d = fleet.ahead(z)
     gaps, v = d[0::2], z[1::2]
@@ -371,15 +354,10 @@ def _deriv(z: np.ndarray, acc_d: np.ndarray | None, fleet: _Fleet) -> np.ndarray
     out = np.empty_like(z)
     out[0::2] = v
     acc = out[1::2]
-    if acc_d is not None:
-        acc[:] = acc_d
-    elif moving:
-        acc[:] = _idm_law(gaps, v, -d[1::2], fleet.idm)  # v - v_lead
-    else:
-        vc = np.maximum(v, 0.0)
-        acc[:] = _idm_law(gaps, vc, vc - vc.take(fleet.leaders), fleet.idm)
+    acc[:] = _idm(d, v, moving, fleet) if acc_d is None else acc_d
     # FollowerStopper vehicles are few (one in the stock presets); on Python
-    # floats the law runs its float body directly, without numpy.
+    # floats of checked gaps the law's float body runs directly, without
+    # numpy and without a second gap check.
     for i, ldr, p in fleet.fs:
         v_i, v_lead = v.item(i), v.item(ldr)
         acc[i] = fs_accel(v_i, _fs_select(gaps.item(i), v_lead - v_i, v_lead, p)[1], p)
@@ -393,11 +371,13 @@ def rhs(t, z, z_delayed, scenario: RingScenario) -> np.ndarray:
 
     z_delayed is the state at t - scenario.tau; it is read only when tau
     is positive, so z itself may be passed when tau is 0. Position
-    derivatives always equal the current velocity slots. IDM
-    accelerations are evaluated entirely from the delayed state; the
-    FollowerStopper vehicle from the current one. Speeds fed to the IDM law
-    are clamped at zero, those fed to the FollowerStopper law are not, and
-    a vehicle at standstill is never given a negative acceleration.
+    derivatives always equal the current velocity slots: kinematics is
+    never delayed. IDM accelerations are evaluated entirely from the
+    delayed state, with the approach rate v_follower - v_leader; the
+    FollowerStopper vehicle from the current one, with v_leader -
+    v_follower, each law's own convention. Speeds fed to the IDM law are
+    clamped at zero, those fed to the FollowerStopper law are not, and a
+    vehicle at standstill is never given a negative acceleration.
 
     Gaps are taken modulo L. Raises CollisionError naming the first IDM
     vehicle whose delayed gap is nonpositive, if any, and else the first
@@ -434,6 +414,7 @@ def simulate(scenario: RingScenario,
         # the delayed half runs on each lookup's batch of delayed states:
         # once per lag interval, and once per step off the interval's plan;
         # each stage gets its row, and a collision it raises rejects the step
+        # before any of its stages runs
         return integrators.integrate_dde(
             lambda t, z, acc_d: _deriv(z, acc_d, fleet),
             z0,

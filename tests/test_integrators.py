@@ -201,6 +201,28 @@ class TestStepControl:
         assert traj.times[-1] == 0.4
         assert abs(traj.states[-1, 0] - math.exp(0.4)) <= 10 * cfg.rel_tol
 
+    @pytest.mark.parametrize("last", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_non_finite_error_norm_retries_at_the_least_factor(self, last):
+        # y' = -y from 1 at h_init 0.5. The last stage of the first two
+        # attempts returns `last`; the stepped state does not read that
+        # stage, so it stays finite and the error norm is inf or NaN. Each
+        # attempt starts at t = 0, where its last stage is called at
+        # 0 + 1.0 * h = h: the calls give the attempted sizes exactly.
+        calls = []
+
+        def f(t, y):
+            calls.append(t)
+            return np.full(1, last) if len(calls) in (7, 13) else -y
+
+        cfg = IntegratorConfig(h_init=0.5, h_max=1.0)
+        traj = integrate_ode(f, [1.0], (0.0, 1.0), cfg)
+        assert traj.status == "completed"
+        # call 0 is the derivative at t0; attempt a makes calls 6a - 5 to 6a
+        sizes = [calls[6 * a] for a in (1, 2, 3)]
+        least = integrators._MIN_FACTOR
+        assert sizes == [0.5, 0.5 * least, 0.5 * least * least]
+        assert traj.times[1] == 0.5 * least * least
+
     def test_zero_span(self):
         traj = integrate_ode(decay, [1.0], (0.0, 0.0))
         assert traj.status == "completed"

@@ -519,6 +519,31 @@ class TestFleetHalvesBitExact:
                                      want if isinstance(want, int) else want[0])
         assert named >= 10
 
+    @pytest.mark.parametrize("fs_at", [(), (0, 6)], ids=["idm_only", "two_fs"])
+    def test_lag_free_is_the_current_half_over_the_delayed_half(self, fs_at):
+        # At tau = 0 the delayed state is the current one: the derivative
+        # without delay must be the current half over the delayed half of
+        # the same state, bit for bit, so that a -0.0 differs from 0.0. On
+        # a collision both raise, but they may name different vehicles: the
+        # delayed half skips the FollowerStopper gaps, so it can name an IDM
+        # vehicle behind the FollowerStopper vehicle the current half names.
+        sc = self.scenario(fs_at, 0.0)
+        z0 = apply_perturbation(initial_state(sc), sc.perturb_amp, sc.seed)
+        fleet = ring._Fleet(sc, z0)
+        rng = np.random.default_rng(41)
+        kinds = Counter()
+        for z in self.states(rng, z0, 100):
+            try:
+                want = ring._deriv(z, None, fleet)
+            except CollisionError:
+                with pytest.raises(CollisionError):
+                    ring._deriv(z, ring._delayed_half(z, fleet), fleet)
+                kinds["collision"] += 1
+                continue
+            assert same_bits(ring._deriv(z, ring._delayed_half(z, fleet), fleet), want)
+            kinds["moving" if np.all(z[1::2] > 0.0) else "standstill"] += 1
+        assert kinds["collision"] >= 10 and kinds["standstill"] >= 30 and kinds["moving"] >= 10
+
 
 def crash_scenario(tau):
     """A FollowerStopper vehicle at 10 m/s, 1 m behind a stopped IDM leader."""
